@@ -20,6 +20,9 @@ later PR is judged against:
 
 Gates: dedup hits fire, every batch byte-identical in the differential,
 no trainer errors, and zero delivery leases outstanding after drain.
+The ledger is a trajectory, not a scratch file: a full run prints old ->
+new against the committed ``BENCH_shard_service.json`` and refuses to
+overwrite it when p99 latency or throughput got more than 25 % worse.
 Set ``BENCH_SMOKE=1`` for the CI smoke run.
 """
 
@@ -55,6 +58,8 @@ K_EPOCHS = 2
 TASKS = ["t0", "t1", "t2", "t3"]  # identical configs -> shared signatures
 
 FAST_RETRY = RetryPolicy(max_retries=4, base_delay_s=0.0, max_delay_s=0.0)
+
+LEDGER_TOLERANCE = 0.25  # share by which p99 / throughput may get worse
 
 
 def make_config(tag):
@@ -110,8 +115,31 @@ def capstone_schedule(seed):
 
 
 def batch_keys(service, task):
-    engine = service.ensure_window(0, task=task)
-    return sorted(k for k in engine.plan.batches if k[0] == task)
+    return sorted(k for k in service.window_plan(0, task).batches if k[0] == task)
+
+
+def compare_with_ledger(old, new):
+    """Old -> new rows of the headline numbers, and why (if at all) the
+    new result may not replace the committed one."""
+    def headline(result):
+        fleet = result["fleet"]["fleet"]
+        numbers = {
+            "demand p50 (ms)": fleet["latency_s"]["p50"] * 1e3,
+            "demand p99 (ms)": fleet["latency_s"]["p99"] * 1e3,
+            "throughput (batches/s)": fleet["throughput_batches_per_s"],
+        }
+        for shard_id, share in sorted(result["fleet"]["routing"]["utilization"].items()):
+            numbers[f"utilization {shard_id}"] = share
+        return numbers
+
+    before, after = headline(old), headline(new)
+    rows = [(name, before.get(name), after[name]) for name in after]
+    regressions = []
+    if after["demand p99 (ms)"] > before["demand p99 (ms)"] * (1 + LEDGER_TOLERANCE):
+        regressions.append("demand p99 (ms)")
+    if after["throughput (batches/s)"] < before["throughput (batches/s)"] * (1 - LEDGER_TOLERANCE):
+        regressions.append("throughput (batches/s)")
+    return rows, regressions
 
 
 def fleet_experiment():
@@ -309,8 +337,22 @@ def test_perf_shard_service(benchmark, emit, results_dir):
     # Sharding is routing, never semantics.
     assert diff["clean_identical"] and diff["faulted_identical"], diff
 
+    ledger = results_dir / "BENCH_shard_service.json"
+    tables, regressions = [table], []
+    if not SMOKE and ledger.exists():
+        committed = json.loads(ledger.read_text())
+        if committed.get("workload") == result["workload"]:
+            rows, regressions = compare_with_ledger(committed, result)
+            trajectory = Table("Against the committed ledger", ["metric", "old", "new"])
+            for name, old, new in rows:
+                trajectory.add_row(
+                    name, "-" if old is None else round(old, 3), round(new, 3)
+                )
+            tables.append(trajectory)
+    emit("shard_service", *tables)
+    assert not regressions, (
+        f"{regressions} got more than {LEDGER_TOLERANCE:.0%} worse than the "
+        f"committed {ledger.name}; the ledger was left as it was"
+    )
     if not SMOKE:
-        (results_dir / "BENCH_shard_service.json").write_text(
-            json.dumps(result, indent=2) + "\n"
-        )
-    emit("shard_service", table)
+        ledger.write_text(json.dumps(result, indent=2) + "\n")

@@ -25,8 +25,8 @@ The pieces, in dependency order:
   protocol and the async zero-copy batch-serving data plane,
 * :mod:`repro.core.tenancy` / :mod:`repro.core.sharding` /
   :mod:`repro.core.loadgen` — per-tenant quotas + fair admission, the
-  consistent-hash shard coordinator, and the standing load-generator
-  fleet.
+  content-addressed consistent-hash shard coordinator, and the standing
+  load-generator fleet.
 """
 
 from repro.core.config import (
@@ -91,7 +91,7 @@ from repro.core.dataplane import (
     LocalClient,
 )
 from repro.core.engine import EngineStats, PreprocessingEngine
-from repro.core.service import SandService
+from repro.core.service import PlanCache, SandService
 from repro.core.posix import SandClient, mount_sand
 from repro.core.tenancy import (
     AdmissionController,
@@ -107,6 +107,7 @@ from repro.core.sharding import (
     RebalanceReport,
     ShardCoordinator,
     ShardingError,
+    content_key,
 )
 from repro.core.loadgen import (
     LoadGenerator,
@@ -152,6 +153,7 @@ __all__ = [
     "MaterializeStats",
     "NextUseOracle",
     "ObjectNode",
+    "PlanCache",
     "PreprocessingEngine",
     "PruningOutcome",
     "RebalanceReport",
@@ -179,6 +181,7 @@ __all__ = [
     "build_jobs",
     "build_plan_window",
     "cache_everything",
+    "content_key",
     "group_tasks_by_dataset",
     "load_task_config",
     "load_task_configs",

@@ -234,14 +234,15 @@ class BufferPool:
                 "free_buffers": free,
             }
 
-    def note_leaks(self) -> None:
-        """Report still-outstanding leases to the leak sanitizer."""
+    def note_leaks(self, held: int = 0) -> None:
+        """Report still-outstanding leases to the leak sanitizer, beyond
+        the ``held`` ones the caller can account for."""
         sanitizer = buffer_sanitizer()
         if sanitizer is None:
             return
         with self._lock:
-            outstanding = self._outstanding
-        if outstanding:
+            outstanding = self._outstanding - held
+        if outstanding > 0:
             sanitizer.note_leak(
                 f"buffer-pool leak: {outstanding} delivery lease(s) from "
                 f"pool {self.name!r} never released or detached"

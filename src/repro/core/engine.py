@@ -22,7 +22,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -228,9 +228,11 @@ class PreprocessingEngine:
         # 1-based job index.
         self._job_seq = 0
 
-        jobs = build_jobs(plan, pruning)
+        # Batches whose background work (pre-materialization, prefetch)
+        # is this engine's; None = every batch of the plan.  See rescope.
+        self._owned: Optional[Set[Tuple[str, int, int]]] = None
         self.scheduler = MaterializationScheduler(
-            jobs,
+            build_jobs(plan, pruning),
             memory_fraction=self._memory_fraction,
             memory_threshold=memory_threshold,
             mode=scheduling_mode,
@@ -289,14 +291,56 @@ class PreprocessingEngine:
                 self._threads.append(thread)
         self._started = False
         if sanitizers_enabled():
-            # Lease-leak check: once no speculative batch is queued, an
-            # engine-owned pool should have nothing outstanding — every
-            # served batch was either detached (owned array) or released
-            # by its consumer.  A shared (service-owned) pool is checked
-            # by the service instead, after every engine has stopped.
-            if self._owns_pool and self.prefetch_queue_depth() == 0:
-                self.delivery_pool.note_leaks()
+            # Lease-leak check: beyond the speculative batches still
+            # queued (takeable after a restart), an engine-owned pool
+            # should have nothing outstanding — every served batch was
+            # either detached (owned array) or released by its consumer.
+            # A shared (service-owned) pool is checked by the service
+            # instead, after every engine has stopped.
+            if self._owns_pool:
+                self.delivery_pool.note_leaks(held=self.prefetch_queue_depth())
             self.stats.sanitizer = collect_report()
+
+    def rescope(self, owns: Optional[Callable[[BatchAssembly], bool]]) -> None:
+        """Confine background work to the batches ``owns`` accepts.
+
+        A shard of a fleet pre-materializes and prefetches only its own
+        share of the window (``None`` lifts the scope).  The demand path
+        is never scoped: any engine serves any batch of its plan.  Safe
+        on a running engine and never joins a thread: the job table is
+        swapped (finished videos stay finished), the prefetcher re-reads
+        its schedule and releases what it had queued.
+        """
+        owned = None if owns is None else [a for a in self.plan.batches.values() if owns(a)]
+        self._owned = (
+            None if owned is None else {(a.task, a.epoch, a.iteration) for a in owned}
+        )
+        self.scheduler.replace_jobs(build_jobs(self.plan, self.pruning, owned))
+        if self._prefetcher is not None:
+            self._prefetcher.reload()
+
+    def scope_report(self) -> Dict[str, int]:
+        """How much of the window's background work is this engine's."""
+        owned = self._owned
+        return {
+            "owned_batches": len(self.plan.batches) if owned is None else len(owned),
+            "jobs_scoped_out": len(self.plan.graphs) - len(self.scheduler.jobs),
+        }
+
+    def retire(self) -> None:
+        """``stop`` for an engine that will not be restarted (rolled away
+        or shut down): its queued speculative batches go back to the pool
+        and its memoized arrays are dropped now.  (The engine sits in
+        reference cycles with its scheduler and prefetcher, so they would
+        otherwise stay resident until the cyclic collector's next full
+        pass; a straggling request simply recomputes.)"""
+        self.stop()
+        if self._prefetcher is not None:
+            self._prefetcher.discard()
+        with self._mat_lock:
+            materializers = list(self._materializers.values())
+        for materializer in materializers:
+            materializer.release_all()
 
     def drain(self) -> None:
         """Block until all pre-materialization jobs are done.
@@ -431,10 +475,12 @@ class PreprocessingEngine:
         return list(self.plan.tasks)
 
     def prefetch_order(self, task: str) -> List[Tuple[int, int]]:
-        """(epoch, iteration) pairs for ``task`` in schedule order."""
+        """(epoch, iteration) pairs of ``task``'s owned batches in
+        schedule order."""
+        owned = self._owned
         return sorted(
             (epoch, iteration)
-            for (t, epoch, iteration) in self.plan.batches
+            for (t, epoch, iteration) in (self.plan.batches if owned is None else owned)
             if t == task
         )
 
@@ -653,12 +699,9 @@ class PreprocessingEngine:
                     f"injected crash at job #{job_index} ({job.video_id})"
                 )
             materializer = self._materializer(job.video_id)
-            frontier = (
-                self.pruning.frontier_of(job.video_id)
-                if self.pruning is not None
-                else {leaf.key for leaf in self.plan.graphs[job.video_id].leaves()}
+            self._materialize_with_retries(
+                job.video_id, materializer, sorted(job.frontier)
             )
-            self._materialize_with_retries(job.video_id, materializer, sorted(frontier))
             released = materializer.release_raw_frames()
             self.stats.raw_frame_releases += released
             self._aggregate_materializer_stats()

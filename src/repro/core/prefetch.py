@@ -28,6 +28,12 @@ Invariants:
   the engine's own bounded retries) marks the batch failed and is never
   retried speculatively; the demand path covers it with its own retry
   discipline and surfaces a hard failure only to the trainer.
+* **Schedules are generations.**  :meth:`BatchPrefetcher.reload` (the
+  source's schedule changed: an ownership re-scope) and
+  :meth:`BatchPrefetcher.discard` (the engine was rolled away) replace
+  every task's state wholesale and release what was queued; an assembly
+  claimed under the old state is dropped when it lands, never filed
+  under a position of the new order.
 
 The stall clock (``stall_ns_saved``) measures the background assembly
 time of batches the trainer then consumed without building — an
@@ -37,6 +43,7 @@ wall-clock lint pragmas.
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -176,18 +183,13 @@ class BatchPrefetcher:
         self.stats = PrefetchStats()
         self._lock = make_lock("engine.prefetch")
         self._tasks: Dict[str, _TaskState] = {}
-        for task in source.prefetch_tasks():
-            order = list(source.prefetch_order(task))
-            self._tasks[task] = _TaskState(
-                order=order,
-                position={key: i for i, key in enumerate(order)},
-            )
-        self._task_names = sorted(self._tasks)
+        self._task_names: List[str] = []
         self._claim_cursor = 0
         self._queued_bytes = 0
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
         self._started = False
+        self.reload()
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
@@ -216,6 +218,50 @@ class BatchPrefetcher:
             if thread.is_alive():  # pragma: no cover - wedged worker
                 self._threads.append(thread)
         self._started = False
+
+    def reload(self) -> None:
+        """Re-read the source's schedule as a new generation of task state.
+
+        Everything queued under the old schedule goes back to the pool,
+        and assemblies still in flight are dropped when they land (their
+        state object is no longer the task's).  Safe while workers run.
+        """
+        self._replace(
+            {
+                task: list(self.source.prefetch_order(task))
+                for task in self.source.prefetch_tasks()
+            }
+        )
+
+    def discard(self) -> None:
+        """Release every queued batch and prefetch nothing from here on
+        (the engine behind this prefetcher was rolled away or shut down)."""
+        self._replace({})
+
+    def _replace(self, orders: Dict[str, List[BatchKey]]) -> None:
+        with self._lock:
+            states: Dict[str, _TaskState] = {}
+            for task, order in orders.items():
+                state = _TaskState(
+                    order=order, position={key: i for i, key in enumerate(order)}
+                )
+                previous = self._tasks.get(task)
+                if previous is not None and previous.consumed:
+                    # Schedule order ascends, so the trainer's progress
+                    # carries over as the last key it asked for.
+                    state.consumed = bisect.bisect_right(
+                        order, previous.order[previous.consumed - 1]
+                    )
+                states[task] = state
+            for stale in self._tasks.values():
+                for entry in stale.ready.values():
+                    self._queued_bytes -= entry.nbytes
+                    entry.release()
+                    self.stats.dropped_stale += 1
+                stale.ready.clear()
+            self._tasks = states
+            self._task_names = sorted(states)
+            self._claim_cursor = 0
 
     def queued_bytes(self) -> int:
         """Bytes held by finished, not-yet-consumed batches."""
@@ -306,18 +352,17 @@ class BatchPrefetcher:
                 if self._stop.wait(timeout=self.poll_interval_s):
                     return
                 continue
-            task, pos, (epoch, iteration), event = claim
+            task, state, pos, (epoch, iteration), event = claim
             try:
-                self._assemble_one(task, pos, epoch, iteration)
+                self._assemble_one(task, state, pos, epoch, iteration)
             finally:
                 with self._lock:
-                    state = self._tasks[task]
                     state.inflight.pop(pos, None)
                 event.set()
 
     def _claim(
         self,
-    ) -> Optional[Tuple[str, int, BatchKey, threading.Event]]:
+    ) -> Optional[Tuple[str, _TaskState, int, BatchKey, threading.Event]]:
         """Pick the next schedule position worth assembling, or None.
 
         Round-robin across tasks (fair progress when several tasks
@@ -350,10 +395,12 @@ class BatchPrefetcher:
                     self._claim_cursor = (
                         self._claim_cursor + offset + 1
                     ) % len(self._task_names)
-                    return task, pos, state.order[pos], event
+                    return task, state, pos, state.order[pos], event
             return None
 
-    def _assemble_one(self, task: str, pos: int, epoch: int, iteration: int) -> None:
+    def _assemble_one(
+        self, task: str, state: _TaskState, pos: int, epoch: int, iteration: int
+    ) -> None:
         started = time.perf_counter_ns()  # sandlint: ignore[wall-clock]
         try:
             batch, metadata = self.source.assemble_speculative(task, epoch, iteration)
@@ -362,17 +409,19 @@ class BatchPrefetcher:
             # bug): never retry speculatively — the demand path owns
             # failure semantics for this batch.
             with self._lock:
-                self._tasks[task].failed.add(pos)
+                state.failed.add(pos)
                 self.stats.faults += 1
             return
         assembly_ns = time.perf_counter_ns() - started  # sandlint: ignore[wall-clock]
         with self._lock:
-            state = self._tasks[task]
             self.stats.assembled += 1
-            if pos < state.consumed and pos not in state.waiting:
-                # The trainer moved past this batch while it was being
-                # assembled; it can never be consumed.  Pooled payloads
-                # go straight back to the pool.
+            if self._tasks.get(task) is not state or (
+                pos < state.consumed and pos not in state.waiting
+            ):
+                # The schedule was reloaded, or the trainer moved past
+                # this batch, while it was being assembled; it can never
+                # be consumed.  Pooled payloads go straight back to the
+                # pool.
                 releaser = getattr(batch, "release", None)
                 if callable(releaser):
                     releaser()

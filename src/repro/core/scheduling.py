@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.locks import make_lock
-from repro.core.concrete_graph import MaterializationPlan
+from repro.core.concrete_graph import BatchAssembly, MaterializationPlan
 from repro.core.pruning import PruningOutcome
 
 
@@ -88,6 +88,7 @@ class VideoJob:
     total_edges: int  # ops in the subtree
     processed_edges: int = 0
     done: bool = False
+    frontier: FrozenSet[str] = frozenset()  # nodes this job materializes
 
     @property
     def remaining_edges(self) -> int:
@@ -95,43 +96,63 @@ class VideoJob:
 
 
 def build_jobs(
-    plan: MaterializationPlan, pruning: Optional[PruningOutcome] = None
+    plan: MaterializationPlan,
+    pruning: Optional[PruningOutcome] = None,
+    owned: Optional[Iterable[BatchAssembly]] = None,
 ) -> Dict[str, VideoJob]:
     """One job per video graph, with deadlines from the batch table.
 
-    When a pruning outcome is given, a job's work is the ops needed to
-    materialize its caching frontier (plus leaves' feed-time ops are the
-    demand path's problem); otherwise all ops in the graph.
+    A job's frontier is the caching-frontier nodes its batches' sample
+    leaves descend from (the leaves themselves when nothing was pruned),
+    its work the ops needed to materialize them (leaves' feed-time ops
+    are the demand path's problem) and its deadline the first batch that
+    needs the video.
+
+    ``owned`` scopes the jobs to a shard's share of the window's
+    batches (default: all of them): a video that feeds no owned batch
+    gets no job, and frontier, work and deadline count owned batches
+    only.
     """
+    frontiers: Dict[str, Set[str]] = {}
+    first_step: Dict[str, int] = {}
+    for assembly in plan.batches.values() if owned is None else owned:
+        step = plan.global_step(assembly.task, assembly.epoch, assembly.iteration)
+        for video_id, leaf_key in assembly.samples:
+            first_step[video_id] = min(step, first_step.get(video_id, step))
+            reached = frontiers.setdefault(video_id, set())
+            if pruning is None:
+                reached.add(leaf_key)
+                continue
+            # Walk up from the leaf to the frontier nodes it descends from.
+            graph, cached = plan.graphs[video_id], pruning.frontier_of(video_id)
+            stack, seen = [leaf_key], set()
+            while stack:
+                current = stack.pop()
+                if current in seen:
+                    continue
+                seen.add(current)
+                if current in cached:
+                    reached.add(current)
+                else:
+                    stack.extend(graph.nodes[current].parents)
     jobs: Dict[str, VideoJob] = {}
-    for video_id, graph in plan.graphs.items():
-        steps = [
-            plan.first_use_step(leaf)
-            for leaf in graph.leaves()
-            if leaf.uses
-        ]
-        first_needed = min(s for s in steps if s is not None) if steps else 0
-        if pruning is not None:
-            frontier = pruning.frontier_of(video_id)
-            work: Set[str] = set()
-            for key in frontier:
-                stack = [key]
-                while stack:
-                    current = stack.pop()
-                    if current in work:
-                        continue
-                    node = graph.nodes[current]
-                    if node.kind == "video":
-                        continue
-                    work.add(current)
-                    stack.extend(node.parents)
-            total = len(work)
-        else:
-            total = sum(1 for n in graph.nodes.values() if n.kind != "video")
+    for video_id, graph in plan.graphs.items():  # plan order = FIFO arrival
+        if video_id not in frontiers:
+            continue
+        work: Set[str] = set()
+        stack = list(frontiers[video_id])
+        while stack:
+            current = stack.pop()
+            node = graph.nodes[current]
+            if current in work or node.kind == "video":
+                continue
+            work.add(current)
+            stack.extend(node.parents)
         jobs[video_id] = VideoJob(
             video_id=video_id,
-            first_needed_step=first_needed,
-            total_edges=total,
+            first_needed_step=first_step[video_id],
+            total_edges=len(work),
+            frontier=frozenset(frontiers[video_id]),
         )
     return jobs
 
@@ -188,9 +209,21 @@ class MaterializationScheduler:
             job.done = True
 
     def mark_done(self, video_id: str) -> None:
-        job = self.jobs[video_id]
+        job = self.jobs.get(video_id)
+        if job is None:  # scoped out while a worker held it
+            return
         job.processed_edges = job.total_edges
         job.done = True
+
+    def replace_jobs(self, jobs: Dict[str, VideoJob]) -> None:
+        """Swap in a re-scoped job table; finished videos stay finished."""
+        for video_id, job in jobs.items():
+            old = self.jobs.get(video_id)
+            if old is not None and old.done:
+                job.processed_edges = job.total_edges
+                job.done = True
+            self._arrival.setdefault(video_id, len(self._arrival))
+        self.jobs = jobs
 
     @property
     def pending_count(self) -> int:

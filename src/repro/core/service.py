@@ -33,16 +33,30 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.analysis.locks import make_rlock
+from repro.analysis.locks import make_condition, make_rlock
 from repro.augment.registry import OpRegistry
 from repro.codec.incremental import AnchorCache
 from repro.core.abstract_graph import AbstractViewGraph, group_tasks_by_dataset
 from repro.core.cache import CacheManager
-from repro.core.concrete_graph import MaterializationPlan, build_plan_window
+from repro.core.concrete_graph import (
+    BatchAssembly,
+    MaterializationPlan,
+    build_plan_window,
+)
 from repro.core.config import TaskConfig
 from repro.core.dataplane import AsyncBatchServer, BatchLease, BufferPool
 from repro.core.engine import PreprocessingEngine
@@ -74,6 +88,61 @@ from repro.vfs.errors import (
 from repro.vfs.provider import FileHandle, FileSystemProvider, NodeInfo
 
 CTRL_NAME = "ctrl"
+
+PlannedWindow = Tuple[MaterializationPlan, Optional[PruningOutcome]]
+
+
+class PlanCache:
+    """The last few planned windows, each built once (single flight).
+
+    Plans and pruning outcomes are immutable once built, so every engine
+    of a window — a service flipping between two adjacent windows, or
+    the shards of a fleet sharing one cache — reads the same objects.
+    The key names everything the build reads, so two services may share
+    a cache exactly when they would plan identically.
+    """
+
+    CAPACITY = 2
+
+    def __init__(self) -> None:
+        self._cond = make_condition("service.plan-cache")
+        self._windows: Dict[Hashable, PlannedWindow] = {}  # insertion = age order
+        self._building: Set[Hashable] = set()
+        self.builds = 0
+        self.hits = 0
+        self.waits = 0
+
+    def get(self, key: Hashable, build: Callable[[], PlannedWindow]) -> PlannedWindow:
+        with self._cond:
+            if key in self._building:
+                self.waits += 1
+                while key in self._building:
+                    self._cond.wait()
+            if key in self._windows:
+                self.hits += 1
+                return self._windows[key]
+            self._building.add(key)
+        try:
+            window = build()
+            with self._cond:
+                self.builds += 1
+                self._windows[key] = window
+                while len(self._windows) > self.CAPACITY:
+                    del self._windows[next(iter(self._windows))]
+        finally:
+            with self._cond:
+                self._building.discard(key)
+                self._cond.notify_all()
+        return window
+
+    def report(self) -> Dict[str, int]:
+        with self._cond:
+            return {
+                "builds": self.builds,
+                "hits": self.hits,
+                "waits": self.waits,
+                "windows": len(self._windows),
+            }
 
 
 class _Group:
@@ -178,6 +247,12 @@ class SandService(FileSystemProvider):
         self.anchor_cache = AnchorCache()
 
         self._window_lock = make_rlock("service.window")
+        # Planned windows, re-used when the service flips back to a
+        # window it just left; a coordinator points its shards at one
+        # shared instance so a window is planned once per fleet.
+        self.plan_cache = PlanCache()
+        # Which batches' background work is this service's (set_scope).
+        self._owns: Optional[Callable[[BatchAssembly], bool]] = None
         self._active_tasks: Set[str] = set()
         # One delivery pool for the service's lifetime: window rolls
         # rebuild engines, but delivery buffers (shape-stable across
@@ -247,18 +322,65 @@ class SandService(FileSystemProvider):
             start = (epoch // self.k_epochs) * self.k_epochs
             return self._build_window(group, start)
 
-    def _build_window(self, group: _Group, epoch_start: int) -> PreprocessingEngine:
-        if group.engine is not None:
-            group.engine.stop()
-        plan = build_plan_window(
-            group.tasks,
-            group.dataset,
+    def window_plan(self, epoch: int, task: Optional[str] = None) -> MaterializationPlan:
+        """The plan of the window containing ``epoch`` — metadata only:
+        no window is rolled and no engine touched."""
+        group = self._group(task) if task is not None else self._single_group()
+        start = (epoch // self.k_epochs) * self.k_epochs
+        return self._planned(group, start)[0]
+
+    def _planned(self, group: _Group, epoch_start: int) -> PlannedWindow:
+        budget = self.store.capacity_bytes if self.prune else None
+
+        def build() -> PlannedWindow:
+            plan = build_plan_window(
+                group.tasks,
+                group.dataset,
+                epoch_start,
+                self.k_epochs,
+                seed=self.seed,
+                coordinated=self.coordinated,
+            )
+            return plan, (prune_plan(plan, budget) if budget is not None else None)
+
+        key = (
+            group.path,
+            tuple(config.tag for config in group.tasks),
             epoch_start,
             self.k_epochs,
-            seed=self.seed,
-            coordinated=self.coordinated,
+            self.seed,
+            self.coordinated,
+            budget,
+            len(group.dataset.video_ids),  # a streaming corpus grows per window
         )
-        pruning = prune_plan(plan, self.store.capacity_bytes) if self.prune else None
+        return self.plan_cache.get(key, build)
+
+    def set_scope(self, owns: Optional[Callable[[BatchAssembly], bool]]) -> None:
+        """Confine background work to the batches ``owns`` accepts.
+
+        Live engines are re-scoped in place and later windows start
+        scoped; ``None`` lifts the scope.  Serving is never scoped.
+        """
+        with self._window_lock:
+            self._owns = owns
+            for group in self._groups.values():
+                if group.engine is not None:
+                    group.engine.rescope(owns)
+
+    def scope_report(self) -> Dict[str, int]:
+        """This service's share of its live windows' background work."""
+        total = {"owned_batches": 0, "jobs_scoped_out": 0}
+        for group in self._groups.values():
+            engine = group.engine
+            if engine is not None:
+                for name, value in engine.scope_report().items():
+                    total[name] += value
+        return total
+
+    def _build_window(self, group: _Group, epoch_start: int) -> PreprocessingEngine:
+        if group.engine is not None:
+            group.engine.retire()
+        plan, pruning = self._planned(group, epoch_start)
         self.cache.register_plan(plan, pruning)
         engine = PreprocessingEngine(
             plan,
@@ -278,6 +400,8 @@ class SandService(FileSystemProvider):
             clairvoyant_cache=self.clairvoyant_cache,
             delivery_pool=self.delivery_pool,
         )
+        if self._owns is not None:
+            engine.rescope(self._owns)
         engine.start()
         group.window_start = epoch_start
         group.plan = plan
@@ -289,16 +413,13 @@ class SandService(FileSystemProvider):
         with self._window_lock:
             for group in self._groups.values():
                 if group.engine is not None:
-                    group.engine.stop()
+                    group.engine.retire()
             # Lease-leak check over the shared delivery pool: with every
-            # engine stopped and no speculative batch still queued,
-            # nothing should hold a lease (served batches were detached
-            # or released).  note_leaks no-ops when sanitizers are off.
-            if all(
-                group.engine is None or group.engine.prefetch_queue_depth() == 0
-                for group in self._groups.values()
-            ):
-                self.delivery_pool.note_leaks()
+            # engine retired (rolled-away ones were at their roll), no
+            # speculative batch is queued, so nothing should hold a lease
+            # (served batches were detached or released).  note_leaks
+            # no-ops when sanitizers are off.
+            self.delivery_pool.note_leaks()
             # Flush write-behind storage and release pack mappings.
             self.cache.close()
 
@@ -337,6 +458,7 @@ class SandService(FileSystemProvider):
                     "fallback_rematerializations": stats.fallback_rematerializations,
                     "storage_failures": dict(stats.storage),
                     "dataplane": dict(stats.dataplane),
+                    **group.engine.scope_report(),
                 }
             # One endpoint for operators and the load generator: the
             # delivery-path block (pool health, per-engine wire ledger,
@@ -352,6 +474,7 @@ class SandService(FileSystemProvider):
                     "demotions": self.cache.demotions,
                 },
                 "storage": storage,
+                "plan_cache": self.plan_cache.report(),
                 "engines": engines,
                 "dataplane": dataplane,
             }

@@ -7,20 +7,24 @@ can serve *any* batch byte-identically — correctness never depends on
 placement, only load distribution and cache locality do.  That property
 buys three things cheaply:
 
-* **Routing** is a pure policy decision: a stable consistent-hash ring
-  (:class:`HashRing`, virtual nodes, minimal movement on add/remove)
-  places each view on an owner shard, and the coordinator forwards
-  ``get_batch`` / POSIX calls there.
+* **Routing** is a pure function of the plan and the ring: a batch's
+  ring key is a digest of its assembly *sample signature* (the
+  ``(video_id, leaf_key)`` sequence, :func:`content_key`), and a stable
+  consistent-hash ring (:class:`HashRing`, virtual nodes, minimal
+  movement on add/remove) places that key on an owner shard, where the
+  coordinator forwards ``get_batch`` / POSIX calls.
+* **Cross-shard dedup** follows by construction: identical views
+  requested by different tasks or tenants have one signature, hence one
+  owner, and hit its already materialized objects.
+* **Ownership-scoped background work**: because ownership is
+  computable up front, each shard pre-materializes and prefetches only
+  the batches it owns (:meth:`SandService.set_scope`), and the fleet
+  plans each window once (one shared
+  :class:`~repro.core.service.PlanCache`).  Serving is never scoped.
 * **Failover** is re-routing: when a shard is unreachable (the
   ``shard-down`` fault window, keyed by shard id), the coordinator walks
-  the key's ring preference order to the next live shard and serves the
-  identical bytes from its plan.
-* **Cross-shard dedup** collapses identical views requested by
-  different tenants: a batch's identity is its assembly *sample
-  signature* (the ``(video_id, leaf_key)`` tuple sequence), and the
-  first shard to own a signature stays its owner — a second tenant's
-  identical view routes to the same shard and hits its already
-  materialized objects instead of materializing again.
+  the key's ring preference order to the next live shard, which serves
+  the identical bytes from the same plan on its demand path.
 
 Multi-tenancy rides on :mod:`repro.core.tenancy`: every request passes
 the tenant-fair :class:`~repro.core.tenancy.AdmissionController` (quota
@@ -49,12 +53,14 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
 import numpy as np
 
 from repro.analysis.locks import make_lock
+from repro.core.concrete_graph import BatchAssembly
 from repro.core.dataplane import AsyncBatchServer, BatchLease
 from repro.core.scheduling import WorkClass
 from repro.core.service import SandService
@@ -100,7 +106,10 @@ class HashRing:
     a key is owned by the first point clockwise from ``sha256(key)``.
     Adding or removing one shard moves only the keys in that shard's
     arcs (~1/N of the space), never reshuffles the rest — the property
-    :meth:`ShardCoordinator.rebalance` reports on explicitly.
+    the coordinator's :class:`RebalanceReport` reports on explicitly.
+
+    Membership changes replace the point list instead of mutating it,
+    so lookups (the shards' ownership predicates) need no lock.
     """
 
     def __init__(self, shard_ids: Sequence[str] = (), replicas: int = 64):
@@ -115,14 +124,16 @@ class HashRing:
     def add(self, shard_id: str) -> None:
         if shard_id in self._shards:
             raise ShardingError(f"shard {shard_id!r} already on the ring")
-        self._shards.append(shard_id)
-        for i in range(self.replicas):
-            bisect.insort(self._points, (_ring_point(f"{shard_id}|{i}"), shard_id))
+        self._shards = self._shards + [shard_id]
+        self._points = sorted(
+            self._points
+            + [(_ring_point(f"{shard_id}|{i}"), shard_id) for i in range(self.replicas)]
+        )
 
     def remove(self, shard_id: str) -> None:
         if shard_id not in self._shards:
             raise ShardingError(f"shard {shard_id!r} not on the ring")
-        self._shards.remove(shard_id)
+        self._shards = [s for s in self._shards if s != shard_id]
         self._points = [(p, s) for (p, s) in self._points if s != shard_id]
 
     def shards(self) -> List[str]:
@@ -138,14 +149,15 @@ class HashRing:
 
         Index 0 is the owner; the rest is the failover order.
         """
-        if not self._points:
+        points, shards = self._points, self._shards
+        if not points:
             raise ShardingError("ring is empty")
-        want = len(self._shards) if k is None else min(k, len(self._shards))
-        start = bisect.bisect(self._points, (_ring_point(key), ""))
+        want = len(shards) if k is None else min(k, len(shards))
+        start = bisect.bisect(points, (_ring_point(key), ""))
         order: List[str] = []
-        n = len(self._points)
+        n = len(points)
         for step in range(n):
-            _point, shard_id = self._points[(start + step) % n]
+            _point, shard_id = points[(start + step) % n]
             if shard_id not in order:
                 order.append(shard_id)
                 if len(order) == want:
@@ -236,7 +248,18 @@ class _TenantLease:
 
 # -- the coordinator ----------------------------------------------------------
 
-Signature = Tuple[Tuple[str, str], ...]
+Signature = Sequence[Tuple[str, str]]
+BatchId = Tuple[str, int, int]
+T = TypeVar("T")
+
+
+def content_key(samples: Signature) -> str:
+    """A batch's ring key: a digest of its sample signature.
+
+    Two batches collating the same ``(video_id, leaf_key)`` sequence are
+    the same view, whatever task, tenant, epoch or iteration asked.
+    """
+    return hashlib.sha256(repr(list(samples)).encode()).hexdigest()[:32]
 
 
 class ShardCoordinator(FileSystemProvider):
@@ -246,7 +269,9 @@ class ShardCoordinator(FileSystemProvider):
     sequence, auto-named ``shard-0..N-1``).  All shards must be built
     from the same configs/dataset/seed; the coordinator never checks
     this (planning determinism is the system's core invariant, tested
-    by the differential suites), it only routes.
+    by the differential suites), it only routes — and, relying on it,
+    makes the shards share one plan cache and scopes each shard's
+    background work to the batches the ring hands it.
     """
 
     def __init__(
@@ -268,9 +293,9 @@ class ShardCoordinator(FileSystemProvider):
         self.work_gate = TenantWorkGate()
         self.fault_schedule = fault_schedule
         self._lock = make_lock("sharding.coordinator")
-        # signature -> (placement_key, owner shard id).  The placement
-        # key is remembered so rebalance can recompute ring ownership.
-        self._owners: Dict[Signature, Tuple[str, str]] = {}
+        # content key -> the first batch id seen with it: the views the
+        # dedup counters and rebalance reports track.
+        self._seen: Dict[str, BatchId] = {}
         self._routed: Dict[str, int] = {s: 0 for s in shard_map}
         self._served: Dict[str, int] = {s: 0 for s in shard_map}
         self._failovers = 0
@@ -278,6 +303,11 @@ class ShardCoordinator(FileSystemProvider):
         self._dedup_misses = 0
         self._batch_bytes: Dict[str, int] = {}  # task -> last seen batch bytes
         self._last_shard_for_task: Dict[str, str] = {}
+        # The fleet plans each window once: the first shard's cache
+        # (which already holds whatever it planned) becomes everyone's.
+        self.plan_cache = next(iter(shard_map.values())).plan_cache
+        for shard_id, shard in shard_map.items():
+            self._adopt(shard_id, shard)
 
     # -- shard membership ----------------------------------------------------
     def shard_ids(self) -> List[str]:
@@ -291,60 +321,68 @@ class ShardCoordinator(FileSystemProvider):
             except KeyError:
                 raise ShardingError(f"unknown shard {shard_id!r}") from None
 
+    def owns(self, shard_id: str, assembly: BatchAssembly) -> bool:
+        """Does the live ring place ``assembly`` on ``shard_id``?"""
+        return self.ring.owner(content_key(assembly.samples)) == shard_id
+
+    def _adopt(self, shard_id: str, shard: SandService) -> None:
+        """Share the fleet's plans with ``shard`` and scope (or, after a
+        ring change, re-scope in place) its background work."""
+        shard.plan_cache = self.plan_cache
+        shard.set_scope(lambda assembly: self.owns(shard_id, assembly))
+
     def add_shard(self, shard_id: str, service: SandService) -> RebalanceReport:
-        """Join a shard and report which tracked keys moved to it."""
+        """Join a shard and report which tracked views moved to it."""
         self._apply_fault(SITE_COORD_REBALANCE, shard_id)
         with self._lock:
             if shard_id in self._shards:
                 raise ShardingError(f"shard {shard_id!r} already present")
-            before = self._ownership_snapshot()
+            before = self._owners_locked()
             self._shards[shard_id] = service
             self.ring.add(shard_id)
             self._routed.setdefault(shard_id, 0)
             self._served.setdefault(shard_id, 0)
-            return self._rebalance_locked(before, added=[shard_id], removed=[])
+            report = self._rebalance_locked(before, added=[shard_id], removed=[])
+            shards = dict(self._shards)
+        for sid, shard in shards.items():
+            self._adopt(sid, shard)
+        return report
 
     def remove_shard(self, shard_id: str) -> RebalanceReport:
-        """Drain a shard off the ring (its service is NOT shut down)."""
+        """Drain a shard off the ring (its service is NOT shut down; it
+        now owns nothing, so its background work stops)."""
         self._apply_fault(SITE_COORD_REBALANCE, shard_id)
         with self._lock:
             if shard_id not in self._shards:
                 raise ShardingError(f"unknown shard {shard_id!r}")
             if len(self._shards) == 1:
                 raise ShardingError("cannot remove the last shard")
-            before = self._ownership_snapshot()
+            before = self._owners_locked()
+            shards = dict(self._shards)
             del self._shards[shard_id]
             self.ring.remove(shard_id)
-            return self._rebalance_locked(before, added=[], removed=[shard_id])
+            report = self._rebalance_locked(before, added=[], removed=[shard_id])
+        for sid, shard in shards.items():
+            self._adopt(sid, shard)
+        return report
 
-    def _ownership_snapshot(self) -> Dict[Signature, str]:
-        return {sig: owner for sig, (_key, owner) in self._owners.items()}
+    def _owners_locked(self) -> Dict[str, str]:
+        return {key: self.ring.owner(key) for key in self._seen}
 
     def _rebalance_locked(
-        self, before: Dict[Signature, str], added: List[str], removed: List[str]
+        self, before: Dict[str, str], added: List[str], removed: List[str]
     ) -> RebalanceReport:
-        """Re-derive dedup ownership from the new ring (lock held).
+        """What the ring change moved, over the tracked views (lock held).
 
-        Minimal movement: an entry moves only when its old owner left
-        the ring or the new ring hands its placement key elsewhere —
-        surviving owners keep their keys even if a fresh hash would now
-        prefer the new shard, except entries whose ring owner changed,
-        which follow the ring so routing stays stable and predictable.
+        Ownership is the ring's, so consistent hashing's minimal movement
+        is the report: a view moves only when its arc changed hands.
         """
-        report = RebalanceReport(added=added, removed=removed)
-        for sig, (placement_key, old_owner) in list(self._owners.items()):
-            new_owner = old_owner
-            if old_owner not in self._shards:
-                new_owner = self.ring.owner(placement_key)
-            else:
-                ring_owner = self.ring.owner(placement_key)
-                if ring_owner != old_owner:
-                    new_owner = ring_owner
-            report.tracked_keys += 1
+        report = RebalanceReport(added=added, removed=removed, tracked_keys=len(before))
+        for key, old_owner in before.items():
+            new_owner = self.ring.owner(key)
             if new_owner != old_owner:
-                self._owners[sig] = (placement_key, new_owner)
                 report.moved_keys += 1
-                report.moves[placement_key] = (old_owner, new_owner)
+                report.moves[key] = (old_owner, new_owner)
         return report
 
     # -- fault plumbing ------------------------------------------------------
@@ -355,53 +393,41 @@ class ShardCoordinator(FileSystemProvider):
     # -- placement -----------------------------------------------------------
     @staticmethod
     def placement_key(task: str, epoch: int, iteration: int) -> str:
+        """The batch's *name* (fault-site key; ring key of unplanned batches)."""
         return f"{task}/{epoch}/{iteration}"
 
-    def _signature(
-        self, shard: SandService, task: str, epoch: int, iteration: int
-    ) -> Optional[Signature]:
-        """The batch's content identity from the (deterministic) plan."""
+    def _assembly(self, task: str, epoch: int, iteration: int) -> Optional[BatchAssembly]:
+        """The batch's composition from the fleet's (deterministic) plan:
+        read through the shared cache, so no shard's window moves."""
+        with self._lock:
+            shard = next(iter(self._shards.values()))
         try:
-            engine = shard.ensure_window(epoch, task=task)
-            assembly = engine.plan.batches.get((task, epoch, iteration))
-        except KeyError:
+            return shard.window_plan(epoch, task).batches.get((task, epoch, iteration))
+        except KeyError:  # unknown task: the serving shard reports it
             return None
-        if assembly is None:
-            return None
-        return tuple(assembly.samples)
 
     def route(self, task: str, epoch: int, iteration: int) -> List[str]:
         """The shard preference order for one batch (owner first).
 
-        Dedup-aware: if this batch's sample signature already has an
-        owner shard (placed for any tenant/task), that shard leads the
-        order so the identical view is served from objects it already
+        Content-addressed: the ring key is the digest of the batch's
+        sample signature, so an identical view — any task, any tenant —
+        has the same owner and is served from objects it already
         materialized.
         """
-        key = self.placement_key(task, epoch, iteration)
-        self._apply_fault(SITE_COORD_PLACE, key)
+        name = self.placement_key(task, epoch, iteration)
+        self._apply_fault(SITE_COORD_PLACE, name)
+        assembly = self._assembly(task, epoch, iteration)
+        if assembly is None:
+            return self.ring.preference(name)
+        key = content_key(assembly.samples)
         with self._lock:
-            order = self.ring.preference(key)
-            candidate = order[0]
-            shard = self._shards[candidate]
-        signature = self._signature(shard, task, epoch, iteration)
-        if signature is None:
-            return order
-        with self._lock:
-            entry = self._owners.get(signature)
-            if entry is None:
-                self._owners[signature] = (key, candidate)
+            first = self._seen.get(key)
+            if first is None:
+                self._seen[key] = (task, epoch, iteration)
                 self._dedup_misses += 1
-                return order
-            _placement, owner = entry
-            if owner not in self._shards:
-                # Owner left the ring between rebalances; re-home it.
-                owner = self.ring.owner(_placement)
-                self._owners[signature] = (_placement, owner)
-            if owner == candidate:
-                return order
-            self._dedup_hits += 1
-            return [owner] + [s for s in order if s != owner]
+            elif first != (task, epoch, iteration):
+                self._dedup_hits += 1
+            return self.ring.preference(key)
 
     # -- serving -------------------------------------------------------------
     def get_batch_lease(
@@ -447,8 +473,8 @@ class ShardCoordinator(FileSystemProvider):
         task: str,
         epoch: int,
         iteration: int,
-        call: Callable[[SandService], Any],
-    ) -> Any:
+        call: Callable[[SandService], T],
+    ) -> T:
         """Run ``call`` on the owner shard, failing over down the ring."""
         order = self.route(task, epoch, iteration)
         last_error: Optional[BaseException] = None
@@ -482,8 +508,9 @@ class ShardCoordinator(FileSystemProvider):
         )
 
     def iterations_per_epoch(self, task: str, epoch: int = 0) -> int:
-        """Metadata query: answered by any live shard, not counted as a
-        routed batch (plans are identical, so every answer agrees)."""
+        """Metadata query: answered from the fleet's plan by any live
+        shard, not counted as a routed batch and never rolling a window
+        (plans are identical, so every answer agrees)."""
         with self._lock:
             order = self.ring.preference(self.placement_key(task, epoch, 0))
             shards = dict(self._shards)
@@ -494,7 +521,7 @@ class ShardCoordinator(FileSystemProvider):
                 continue
             try:
                 self._apply_fault(SITE_SHARD_ROUTE, shard_id)
-                return shard.iterations_per_epoch(task, epoch)
+                return shard.window_plan(epoch, task).iterations_per_epoch[task]
             except TransientStorageError as exc:
                 last_error = exc
                 continue
@@ -537,6 +564,9 @@ class ShardCoordinator(FileSystemProvider):
     # -- observability -------------------------------------------------------
     def routing_report(self) -> Dict[str, Any]:
         with self._lock:
+            shards = dict(self._shards)
+        scopes = {sid: shard.scope_report() for sid, shard in sorted(shards.items())}
+        with self._lock:
             total_served = sum(self._served.values())
             return {
                 "shards": self.ring.shards(),
@@ -549,7 +579,13 @@ class ShardCoordinator(FileSystemProvider):
                 "failovers": self._failovers,
                 "dedup_hits": self._dedup_hits,
                 "dedup_misses": self._dedup_misses,
-                "dedup_tracked_views": len(self._owners),
+                "dedup_tracked_views": len(self._seen),
+                # Why is shard-N busy / who planned this window: each
+                # shard's share of its live windows' background work, and
+                # the fleet's one plan cache.
+                "owned_batches": {s: r["owned_batches"] for s, r in scopes.items()},
+                "jobs_scoped_out": {s: r["jobs_scoped_out"] for s, r in scopes.items()},
+                "plan_cache": self.plan_cache.report(),
             }
 
     def dataplane_report(self) -> Dict[str, Any]:

@@ -233,7 +233,7 @@ class AdmissionController:
             tenants = sorted(
                 set(self._quotas) | set(self._inflight) | set(self._served)
             )
-            per_tenant = {}
+            per_tenant: Dict[str, Dict[str, Any]] = {}
             for t in tenants:
                 quota = self._quotas.get(t, self.default_quota)
                 per_tenant[t] = {

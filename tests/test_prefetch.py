@@ -14,10 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.sanitizers import reset_sanitizers, set_sanitizers
+from repro.analysis.sanitizers import collect_report, reset_sanitizers, set_sanitizers
 from repro.core import (
     CacheManager,
     PreprocessingEngine,
+    SandService,
     build_plan_window,
     load_task_config,
     prune_plan,
@@ -255,6 +256,72 @@ def test_take_waits_for_an_inflight_assembly():
         pf.stop()
 
 
+class Payload:
+    """A pooled-lease stand-in: counts how often it was given back."""
+
+    nbytes = 8
+
+    def __init__(self):
+        self.released = 0
+
+    def release(self):
+        self.released += 1
+
+
+def test_reload_releases_the_queue_and_drops_late_landings():
+    """A re-scope is a new generation: what was queued goes back to the
+    pool, and an assembly claimed before the reload is never filed under
+    a position of the new order."""
+    payloads = []
+
+    class LeaseSource(FakeSource):
+        def assemble_speculative(self, task, epoch, iteration):
+            super().assemble_speculative(task, epoch, iteration)
+            payloads.append(Payload())
+            return payloads[-1], {"iteration": iteration}
+
+    source = LeaseSource({"t": [(0, i) for i in range(6)]})
+    pf = BatchPrefetcher(source, depth=2, workers=1)
+    pf.start()
+    try:
+        assert wait_until(lambda: pf.queue_depth() == 2)
+        assert pf.take("t", 0, 0) is not None
+        source.gate = threading.Event()  # the next assembly (0, 2) blocks
+        assert wait_until(lambda: len(pf._tasks["t"].inflight) == 1)
+        source.orders = {"t": [(0, 3), (0, 5)]}  # this shard's new share
+        pf.reload()
+        assert pf.queue_depth() == 0 and pf.queued_bytes() == 0
+        assert payloads[1].released == 1  # (0, 1) was queued: released
+        source.gate.set()
+        assert wait_until(lambda: len(payloads) >= 3 and payloads[2].released == 1)
+        # Progress carried over: only (0, 3) and (0, 5) are assembled now,
+        # and (0, 2) — position 0 of the old claim — was not filed as (0, 3).
+        assert wait_until(lambda: pf.queue_depth() == 2)
+        _, metadata = pf.take("t", 0, 3)
+        assert metadata["iteration"] == 3
+        assert pf.take("t", 0, 2) is None
+    finally:
+        pf.stop()
+
+
+def test_discard_releases_the_queue_for_good():
+    payload = Payload()
+
+    class LeaseSource(FakeSource):
+        def assemble_speculative(self, task, epoch, iteration):
+            return payload, {}
+
+    pf = BatchPrefetcher(LeaseSource({"t": [(0, 0)]}), depth=1, workers=1)
+    pf.start()
+    try:
+        assert wait_until(lambda: pf.queue_depth() == 1)
+        pf.discard()
+        assert payload.released == 1 and pf.queue_depth() == 0
+        assert pf.take("t", 0, 0) is None
+    finally:
+        pf.stop()
+
+
 def test_stats_snapshot_is_detached():
     stats = PrefetchStats(hits=3, misses=1)
     snap = stats.snapshot()
@@ -369,6 +436,33 @@ def test_window_roll_falls_back_cleanly(dataset):
     reference = PreprocessingEngine(plan1, dataset, num_workers=0)
     expected, _ = reference.get_batch(*key1)
     assert np.array_equal(batch1, expected)
+
+
+def test_window_rolls_leak_no_speculative_leases(dataset):
+    """Rolling a window gives the old engine's queued speculative batches
+    back to the pool; after shutdown nothing is out and the sanitizers
+    (lease-leak check included, no escape hatch) are clean."""
+    set_sanitizers(True)
+    reset_sanitizers()
+    try:
+        service = SandService(
+            [make_config()], dataset, k_epochs=2, num_workers=1, seed=5, prefetch_depth=2
+        )
+        for window in range(4):
+            epoch = 2 * window
+            engine = service.ensure_window(epoch, task="t")
+            lease, _ = service.get_batch_lease("t", epoch, 0)
+            lease.release()
+            # Leave speculative batches queued for the roll to find.
+            assert wait_until(lambda: engine.prefetch_queue_depth() >= 1)
+        service.shutdown()
+        assert service.delivery_pool.report()["leases_outstanding"] == 0
+        assert service.engine.prefetch_queue_depth() == 0
+        report = collect_report()
+        assert report.clean(), report.as_dict()
+    finally:
+        set_sanitizers(None)
+        reset_sanitizers()
 
 
 # -- differential under the PR 2 capstone fault schedule ---------------------

@@ -102,6 +102,38 @@ def test_build_jobs_from_plan():
     pruned_jobs = build_jobs(plan, pruning)
     for vid in jobs:
         assert pruned_jobs[vid].total_edges <= jobs[vid].total_edges
+    # A job materializes exactly its video's caching frontier.
+    for vid, graph in plan.graphs.items():
+        assert jobs[vid].frontier == {leaf.key for leaf in graph.leaves()}
+        assert pruned_jobs[vid].frontier == pruning.frontier_of(vid)
+
+
+def test_scoped_jobs_partition_the_frontier_by_owned_batches():
+    """``owned`` scopes jobs to a share of the window: deadlines come from
+    owned batches, foreign videos get no job, and the shares of a
+    partition add up to the whole frontier."""
+    plan = make_plan()
+    pruning = prune_plan(plan, plan.total_cached_bytes() * 0.5)
+    whole = build_jobs(plan, pruning)
+    batches = sorted(plan.batches.values(), key=lambda b: (b.epoch, b.iteration))
+    shares = [build_jobs(plan, pruning, batches[i::3]) for i in range(3)]
+    for vid, job in whole.items():
+        assert job.frontier == frozenset().union(
+            *(share[vid].frontier for share in shares if vid in share)
+        )
+    late = build_jobs(plan, pruning, batches[-1:])
+    assert set(late) == {vid for vid, _leaf in batches[-1].samples}
+    step = plan.global_step(batches[-1].task, batches[-1].epoch, batches[-1].iteration)
+    assert all(job.first_needed_step == step for job in late.values())
+    # Re-scoping a live scheduler keeps finished videos finished.
+    sched = MaterializationScheduler(whole)
+    finished = next(iter(late))
+    sched.mark_done(finished)
+    sched.replace_jobs(late)
+    assert sched.pending_count == len(late) - 1
+    sched.mark_done("no-longer-scheduled")  # a worker's late claim: ignored
+    sched.replace_jobs(build_jobs(plan, pruning))
+    assert sched.jobs[finished].done and sched.pending_count == len(whole) - 1
 
 
 # -- cache manager ------------------------------------------------------------------

@@ -9,19 +9,29 @@ The hard invariants:
 * every shard's plan is deterministic-identical, so failover during a
   ``shard-down`` window serves the same bytes from the next shard in
   the ring preference order;
-* identical views requested by different tenants resolve to one owner
-  shard (cross-shard dedup) and materialize once;
+* placement is content-addressed: identical views requested by
+  different tenants resolve to one owner shard (cross-shard dedup) and
+  materialize once; the shards' owned sets partition every window;
+* background work is ownership-scoped and planning is shared: a fleet
+  pre-materializes each frontier node once and plans each window once,
+  while any shard still serves any batch on demand;
 * the consistent-hash ring moves ~1/N of keys on membership change,
   never reshuffles survivors;
 * the wire path through the coordinator (GET_BATCH + tenant) leaks no
   delivery leases.
 """
 
+import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.service as service_module
+from repro.analysis.sanitizers import collect_report, reset_sanitizers, set_sanitizers
 from repro.core import (
     AllShardsDownError,
     BatchSocketClient,
@@ -80,13 +90,13 @@ def make_dataset(seed=3):
 
 
 def make_shard(tags=("t",), seed=0, dataset_seed=3, fault_schedule=None,
-               store=None, num_workers=0):
+               store=None, num_workers=0, prefetch_depth=0):
     return SandService(
         [make_config(tag) for tag in tags],
         make_dataset(dataset_seed),
         num_workers=num_workers,
         seed=seed,
-        prefetch_depth=0,
+        prefetch_depth=prefetch_depth,
         fault_schedule=fault_schedule,
         retry_policy=FAST_RETRY if fault_schedule is not None else None,
         store=store,
@@ -105,8 +115,14 @@ def capstone_schedule(seed=0):
 
 
 def all_batch_keys(service, task="t"):
-    engine = service.ensure_window(0, task=task)
-    return sorted(k for k in engine.plan.batches if k[0] == task)
+    return sorted(k for k in service.window_plan(0, task).batches if k[0] == task)
+
+
+def background_fleet(n=4, **kwargs):
+    """A fleet whose shards run scoped pre-materialization and prefetch."""
+    return ShardCoordinator(
+        [make_shard(num_workers=1, prefetch_depth=2, **kwargs) for _ in range(n)]
+    )
 
 
 # -- the ring ----------------------------------------------------------------
@@ -211,8 +227,9 @@ def test_multi_shard_coordinator_matches_single_service():
 
 def test_identical_views_across_tenants_share_one_owner_shard():
     """Four identically-configured tasks requested by four tenants: each
-    distinct view signature gets exactly one owner shard, the ring's
-    spread notwithstanding, and repeat placements count dedup hits."""
+    distinct view signature has exactly one owner shard by construction
+    (the ring key is the content digest), and every request after the
+    first sighting of a signature counts a dedup hit."""
     tags = ("a", "b", "c", "d")
     coordinator = ShardCoordinator([make_shard(tags=tags) for _ in range(4)])
     try:
@@ -228,13 +245,13 @@ def test_identical_views_across_tenants_share_one_owner_shard():
             reference = batches[("a", epoch, iteration)]
             for task in tags[1:]:
                 assert batches[(task, epoch, iteration)] == reference
+            owners = {coordinator.route(task, epoch, iteration)[0] for task in tags}
+            assert len(owners) == 1
         report = coordinator.routing_report()
-        # One signature per (epoch, iteration), owned once.
+        # One signature per (epoch, iteration), first seen under task "a".
         assert report["dedup_tracked_views"] == len(keys)
         assert report["dedup_misses"] == len(keys)
-        # The ring spreads 4 tasks x per-batch keys across 4 shards, so
-        # some identical views hash elsewhere and hit the dedup owner.
-        assert report["dedup_hits"] > 0
+        assert report["dedup_hits"] >= 3 * len(keys)
     finally:
         coordinator.shutdown()
 
@@ -265,6 +282,235 @@ def test_dedup_serves_identical_views_without_rematerializing():
         assert served_twice == served_once
     finally:
         coordinator.shutdown()
+
+
+# -- content-addressed ownership ---------------------------------------------
+
+
+@settings(max_examples=12, deadline=None)
+@given(n_shards=st.integers(1, 6), seed=st.integers(0, 3), window=st.integers(0, 2))
+def test_owned_sets_partition_every_window(n_shards, seed, window):
+    """Ownership is a pure function of plan and ring: the shards' owned
+    sets are pairwise disjoint and cover ``plan.batches``."""
+    coordinator = ShardCoordinator(
+        [make_shard(tags=("a", "b"), seed=seed) for _ in range(n_shards)]
+    )
+    try:
+        plan = coordinator.shard("shard-0").window_plan(2 * window, "a")
+        for assembly in plan.batches.values():
+            owners = [
+                sid for sid in coordinator.shard_ids() if coordinator.owns(sid, assembly)
+            ]
+            assert len(owners) == 1
+            key = (assembly.task, assembly.epoch, assembly.iteration)
+            assert coordinator.route(*key)[0] == owners[0]
+    finally:
+        coordinator.shutdown()
+
+
+def test_metadata_and_routing_never_roll_a_window():
+    """Routing reads the shared plan: a shard's engine and window stay put
+    however many batches of other windows are routed or sized."""
+    coordinator = ShardCoordinator([make_shard() for _ in range(3)])
+    try:
+        shards = [coordinator.shard(sid) for sid in coordinator.shard_ids()]
+        for shard in shards:
+            shard.ensure_window(0, task="t")
+        before = [(shard.engine, shard._single_group().window_start) for shard in shards]
+        per_epoch = coordinator.iterations_per_epoch("t", 4)
+        for n in range(100):
+            coordinator.route("t", 4 + n // per_epoch % 4, n % per_epoch)
+        after = [(shard.engine, shard._single_group().window_start) for shard in shards]
+        assert all(a[0] is b[0] and a[1] == b[1] for a, b in zip(after, before))
+    finally:
+        coordinator.shutdown()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "capstone"])
+def test_scoped_fleet_is_byte_identical_to_a_plain_service(seed, faulted):
+    reference = make_shard(seed=seed)
+    fleet = ShardCoordinator([
+        make_shard(
+            seed=seed, num_workers=1, prefetch_depth=2,
+            fault_schedule=capstone_schedule(seed) if faulted else None,
+            store=LocalStore(10**8) if faulted else None,
+        )
+        for _ in range(4)
+    ])
+    try:
+        for window in (0, 2):
+            keys = sorted(reference.window_plan(window, "t").batches)
+            for key in keys:
+                want, want_md = reference.get_batch(*key)
+                got, got_md = fleet.get_batch(*key, tenant="t0")
+                assert got.tobytes() == want.tobytes(), key
+                assert got_md == want_md
+        assert fleet.routing_report()["failovers"] == 0
+    finally:
+        reference.shutdown()
+        fleet.shutdown()
+        for sid in fleet.shard_ids():
+            assert fleet.shard(sid).delivery_pool.leases_outstanding == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_non_owner_serves_an_owned_batch_on_demand(seed):
+    """Scope confines background work only: with the owner down, the
+    next shard of the preference order serves the same bytes."""
+    reference = make_shard(seed=seed)
+    key = all_batch_keys(reference)[0]
+    probe = ShardCoordinator([make_shard(seed=seed) for _ in range(4)])
+    owner = probe.route(*key)[0]
+    probe.shutdown()
+    schedule = FaultSchedule(seed=0, specs=[
+        FaultSpec(kind="shard-down", site=SITE_SHARD_ROUTE,
+                  at_count=1, down_for=1, key=owner),
+    ])
+    fleet = ShardCoordinator(
+        [make_shard(seed=seed, num_workers=1, prefetch_depth=2) for _ in range(4)],
+        fault_schedule=schedule,
+    )
+    try:
+        want, _ = reference.get_batch(*key)
+        got, _ = fleet.get_batch(*key, tenant="t0")
+        assert got.tobytes() == want.tobytes()
+        report = fleet.routing_report()
+        assert report["failovers"] == 1 and report["served"][owner] == 0
+    finally:
+        reference.shutdown()
+        fleet.shutdown()
+
+
+def test_fleet_pre_materializes_each_frontier_node_once():
+    fleet = background_fleet(tags=("a", "b"))
+    try:
+        shards = [fleet.shard(sid) for sid in fleet.shard_ids()]
+        for shard in shards:
+            shard.ensure_window(0, task="a").drain()
+        pruning = shards[0].pruning
+        frontier = sum(len(video.frontier) for video in pruning.videos.values())
+        done = sum(shard.engine.stats.pre_materializations for shard in shards)
+        assert done == frontier
+        report = fleet.routing_report()
+        plan = shards[0].plan
+        assert sum(report["owned_batches"].values()) == len(plan.batches)
+        assert all(n < len(plan.batches) for n in report["owned_batches"].values())
+        assert sum(report["jobs_scoped_out"].values()) > 0
+    finally:
+        fleet.shutdown()
+
+
+def test_fleet_plans_each_window_once(monkeypatch):
+    calls = []
+    build = service_module.build_plan_window
+
+    def counting(tasks, dataset, epoch_start, *args, **kwargs):
+        calls.append(epoch_start)
+        return build(tasks, dataset, epoch_start, *args, **kwargs)
+
+    monkeypatch.setattr(service_module, "build_plan_window", counting)
+    fleet = ShardCoordinator([make_shard() for _ in range(4)])
+    try:
+        for epoch in (0, 1, 2, 3, 1):  # three windows' worth, then back one
+            for iteration in range(fleet.iterations_per_epoch("t", epoch)):
+                fleet.get_batch("t", epoch, iteration, tenant="t0")
+        assert sorted(calls) == [0, 2]
+        cache = fleet.status()["routing"]["plan_cache"]
+        assert cache["builds"] == 2 and cache["hits"] > 0
+    finally:
+        fleet.shutdown()
+
+
+def test_ring_change_rescopes_live_engines_in_place():
+    fleet = background_fleet(n=3)
+    try:
+        shards = {sid: fleet.shard(sid) for sid in fleet.shard_ids()}
+        engines = {sid: shard.ensure_window(0, task="t") for sid, shard in shards.items()}
+        plan = shards["shard-0"].plan
+        total = len(plan.batches)
+        before = fleet.routing_report()["owned_batches"]
+        assert sum(before.values()) == total
+
+        joiner = make_shard(num_workers=1, prefetch_depth=2)
+        fleet.add_shard("shard-3", joiner)
+        joiner.ensure_window(0, task="t")
+        after = fleet.routing_report()["owned_batches"]
+        assert sum(after.values()) == total
+        # The survivors' engines were re-scoped, not rebuilt ...
+        assert all(shards[sid].engine is engines[sid] for sid in shards)
+        # ... and only gave batches up, all of them to the joiner (~1/N).
+        assert all(after[sid] <= before[sid] for sid in before)
+        assert after["shard-3"] == total - sum(after[sid] for sid in before)
+        assert after["shard-3"] < total / 2
+
+        fleet.remove_shard("shard-3")
+        assert fleet.routing_report()["owned_batches"] == before
+        assert joiner.scope_report()["owned_batches"] == 0
+        reference = make_shard()
+        for key in sorted(plan.batches):
+            want, _ = reference.get_batch(*key)
+            got, _ = fleet.get_batch(*key, tenant="t0")
+            assert got.tobytes() == want.tobytes(), key
+        reference.shutdown()
+        joiner.shutdown()
+    finally:
+        fleet.shutdown()
+        for shard in shards.values():
+            assert shard.delivery_pool.leases_outstanding == 0
+        assert joiner.delivery_pool.leases_outstanding == 0
+
+
+def test_rescope_with_assemblies_in_flight_never_hands_out_a_wrong_batch():
+    """Trainers read through the fleet while the ring keeps changing;
+    every batch must match the reference, sanitizers clean."""
+    set_sanitizers(True)
+    reset_sanitizers()
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        reference = make_shard()
+        keys = [k for window in (0, 2) for k in sorted(reference.window_plan(window, "t").batches)]
+        want = {key: zlib.crc32(reference.get_batch(*key)[0]) for key in keys}
+        reference.shutdown()
+        fleet = background_fleet(n=3)
+        spare = make_shard(num_workers=1, prefetch_depth=2)
+        wrong, errors = [], []
+        done = threading.Event()
+
+        def trainer():
+            try:
+                for _ in range(4):
+                    for key in keys:
+                        batch, _ = fleet.get_batch(*key, tenant="t0")
+                        if zlib.crc32(batch) != want[key]:
+                            wrong.append(key)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(f"{type(exc).__name__}: {exc}")
+            finally:
+                done.set()
+
+        thread = threading.Thread(target=trainer)
+        thread.start()
+        changes = 0
+        while not done.wait(0.005):
+            fleet.add_shard("spare", spare)
+            fleet.remove_shard("spare")
+            changes += 1
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        fleet.shutdown()
+        spare.shutdown()
+        assert errors == [] and wrong == []
+        assert changes > 4
+        for sid in fleet.shard_ids():
+            assert fleet.shard(sid).delivery_pool.leases_outstanding == 0
+        assert spare.delivery_pool.leases_outstanding == 0
+        assert collect_report().clean(), collect_report().as_dict()
+    finally:
+        sys.setswitchinterval(switch_interval)
+        set_sanitizers(None)
+        reset_sanitizers()
 
 
 # -- failover ----------------------------------------------------------------
@@ -450,7 +696,16 @@ def test_coordinator_status_is_one_report():
             assert "dataplane" in shard_status
             assert "pool" in shard_status["dataplane"]
             assert "servers" in shard_status["dataplane"]
-        assert status["routing"]["dedup_tracked_views"] >= 1
+        routing = status["routing"]
+        assert routing["dedup_tracked_views"] >= 1
+        # Existing keys the bench adapter reads, plus the scope and plan
+        # cache blocks that answer "why is shard-N busy / who planned".
+        assert {"served", "dedup_hits", "dedup_misses", "failovers"} <= set(routing)
+        assert set(routing["owned_batches"]) == {"shard-0", "shard-1"}
+        assert set(routing["jobs_scoped_out"]) == {"shard-0", "shard-1"}
+        assert set(routing["plan_cache"]) >= {"builds", "hits", "waits"}
+        for shard_status in status["shards"].values():
+            assert shard_status["plan_cache"] == routing["plan_cache"]
         assert "t0" in status["admission"]["tenants"]
     finally:
         coordinator.shutdown()

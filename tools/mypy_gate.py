@@ -46,6 +46,10 @@ STRICT_ARGS = [
     "repro.core.wire",
     "-m",
     "repro.core.dataplane",
+    "-m",
+    "repro.core.sharding",
+    "-m",
+    "repro.core.tenancy",
 ]
 
 TREE_ARGS = ["--follow-imports=normal", "-p", "repro"]
