@@ -22,7 +22,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.core.scheduling import (
 from repro.faults.errors import InjectedWorkerCrash, TransientDecodeError
 from repro.faults.proxies import FaultyDecoder
 from repro.storage.objectstore import TransientStorageError
-from repro.storage.retry import RetryPolicy
+from repro.storage.retry import RetryPolicy, call_with_retries
 
 DEFAULT_ANCHOR_CACHE_BYTES = 32 * 1024 * 1024
 
@@ -56,6 +56,8 @@ DEFAULT_ANCHOR_CACHE_BYTES = 32 * 1024 * 1024
 # a bug (or an injected crash) and must not be silently absorbed by a
 # retry loop.
 _RETRYABLE = (TransientStorageError, TransientDecodeError)
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,10 @@ class EngineStats:
     batches_served: int = 0
     demand_materializations: int = 0
     pre_materializations: int = 0
+    # Frontier leaves written straight into their only consumer's batch
+    # slot instead of being persisted; keys the worker then skipped.
+    dead_stores_elided: int = 0
+    consumed_skipped: int = 0
     peak_memory_bytes: int = 0
     frames_decoded: int = 0
     frames_reused_from_anchor_cache: int = 0
@@ -118,6 +124,8 @@ class EngineStats:
     def traffic_report(self) -> Dict:
         """The memory-traffic ledger with prefetch and anchor-cache blocks."""
         report: Dict = dict(self.traffic.as_dict())
+        report["dead_stores_elided"] = self.dead_stores_elided
+        report["consumed_skipped"] = self.consumed_skipped
         report["prefetch"] = self.prefetch.as_dict()
         report["anchor_cache"] = dict(self.anchor_cache)
         report["storage"] = dict(self.storage)
@@ -319,6 +327,12 @@ class PreprocessingEngine:
         if self._prefetcher is not None:
             self._prefetcher.reload()
 
+    def consumed_keys(self) -> Set[str]:
+        """Frontier leaves already delivered to their only planned use
+        (never persisted; nothing in the rest of the window reads them)."""
+        with self._mat_lock:
+            return set().union(*(m.consumed for m in self._materializers.values()))
+
     def scope_report(self) -> Dict[str, int]:
         """How much of the window's background work is this engine's."""
         owned = self._owned
@@ -440,7 +454,7 @@ class PreprocessingEngine:
 
         self._work_gate.enter(WorkClass.DEMAND)
         try:
-            metadata = self._batch_metadata(assembly)
+            metadata = self.batch_metadata(assembly)
             lease = self._assemble(assembly)
         finally:
             self._work_gate.exit(WorkClass.DEMAND)
@@ -457,7 +471,7 @@ class PreprocessingEngine:
         for video_id, leaf_key in assembly.samples:
             materializer = self._materializer(video_id)
             self._count_demand(materializer, leaf_key)
-            samples.append(self._get_with_retries(materializer, leaf_key))
+            samples.append(self._retry(lambda: materializer.get(leaf_key), "demand_retries"))
         first = samples[0]
         lease = self.delivery_pool.acquire(
             (len(samples),) + first.shape, first.dtype
@@ -513,7 +527,7 @@ class PreprocessingEngine:
         assembly = self.plan.batches[(task, epoch, iteration)]
         self._work_gate.enter(WorkClass.PREFETCH)
         try:
-            metadata = self._batch_metadata(assembly)
+            metadata = self.batch_metadata(assembly)
             lease = self._assemble(assembly)
         finally:
             self._work_gate.exit(WorkClass.PREFETCH)
@@ -552,40 +566,44 @@ class PreprocessingEngine:
     def _assemble_fused(self, assembly: BatchAssembly) -> BatchLease:
         """Collate into one pooled delivery buffer (copy elision).
 
-        The first sample materializes normally and fixes the batch's
-        shape/dtype; every other sample is computed (or copied) straight
-        into its slot via the materializer's ``get_into`` fast path —
-        with a fused normalize epilogue, that write *is* the final op,
-        landing directly in the buffer the trainer (or the socket) will
-        read.  Bytes copied at the trainer boundary: zero.
+        The batch's shape and dtype come from the plan, so the buffer
+        exists before any sample does and *every* sample is computed (or
+        copied) straight into its slot via the materializer's
+        ``get_into`` fast path — with a fused normalize epilogue, that
+        write *is* the final op, landing directly in the buffer the
+        trainer (or the socket) will read.  Bytes copied at the trainer
+        boundary: zero.
         """
-        lease: Optional[BatchLease] = None
-        batch: Optional[np.ndarray] = None
+        video_id, leaf_key = assembly.samples[0]  # plans never emit empty batches
+        first = self._materializer(video_id)
+        spec = first.leaf_spec(leaf_key)
+        if spec is None:
+            # Not static (clip-scoped ops, opaque op): learn it from the
+            # first sample, which slot 0 then copies out of the memo.
+            self._count_demand(first, leaf_key)
+            array = self._retry(lambda: first.get(leaf_key), "demand_retries")
+            spec = (array.shape, array.dtype)
+        shape, dtype = spec
+        lease = self.delivery_pool.acquire((len(assembly.samples),) + shape, dtype)
+        batch = lease.array
+        self._engine_traffic.bytes_allocated += batch.nbytes
         direct = 0
-        copied = 0
-        for slot, (video_id, leaf_key) in enumerate(assembly.samples):
-            materializer = self._materializer(video_id)
-            self._count_demand(materializer, leaf_key)
-            if batch is None:
-                first = self._get_with_retries(materializer, leaf_key)
-                lease = self.delivery_pool.acquire(
-                    (len(assembly.samples),) + first.shape, first.dtype
+        try:
+            for slot, (video_id, leaf_key) in enumerate(assembly.samples):
+                materializer = self._materializer(video_id)
+                self._count_demand(materializer, leaf_key)
+                # Deterministic, so a retry after a transient failure
+                # mid-write overwrites the slot with the same bytes.
+                direct += self._retry(
+                    lambda: materializer.get_into(leaf_key, batch[slot]),
+                    "demand_retries",
                 )
-                batch = lease.array
-                self._engine_traffic.bytes_allocated += batch.nbytes
-                batch[0] = first
-                self._engine_traffic.bytes_copied += first.nbytes
-                self._engine_traffic.clip_passes += 1
-                copied += 1
-            else:
-                if self._get_into_with_retries(materializer, leaf_key, batch[slot]):
-                    direct += 1
-                else:
-                    copied += 1
-        assert lease is not None  # plans never emit empty batches
+        except BaseException:
+            lease.release()
+            raise
         with self._delivery_lock:
             self._slot_writes_direct += direct
-            self._slot_writes_copied += copied
+            self._slot_writes_copied += len(assembly.samples) - direct
         return lease
 
     def _jitter_rng(self) -> random.Random:
@@ -598,48 +616,24 @@ class PreprocessingEngine:
             self._retry_rng_local.rng = rng
         return rng
 
-    def _get_with_retries(self, materializer: VideoMaterializer, key: str) -> np.ndarray:
-        """Demand-path materialization with bounded retry.
+    def _retry(self, fn: Callable[[], T], counter: str) -> T:
+        """``fn`` under the retry policy; each retry bumps ``stats.<counter>``.
 
         Storage faults already degrade to recomputation inside the
         materializer; what reaches here is flaky *compute* (decoder
-        faults).  Those are retried with backoff so one transient blip
-        never poisons a training batch; exhaustion re-raises — the
-        trainer must see a hard, repeated failure.
+        faults), retried with backoff so one transient blip never
+        poisons a training batch.  Exhaustion re-raises: the trainer
+        must see a hard, repeated failure (a job dead-letters it).
         """
-        attempt = 0
-        while True:
-            try:
-                return materializer.get(key)
-            except _RETRYABLE:
-                if attempt >= self.retry_policy.max_retries:
-                    raise
-                self.stats.demand_retries += 1
-                time.sleep(self.retry_policy.delay_for(attempt, self._jitter_rng()))
-                attempt += 1
 
-    def _get_into_with_retries(
-        self, materializer: VideoMaterializer, key: str, out: np.ndarray
-    ) -> bool:
-        """``_get_with_retries`` for the compute-into-slot path.
+        def note(_exc: BaseException, _attempt: int) -> None:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
-        Materialization is deterministic, so a retry after a transient
-        failure mid-write simply overwrites the slot with the same bytes.
-        Returns ``get_into``'s verdict: True when the fused epilogue
-        wrote the slot directly, False when it fell back to get + copy.
-        """
-        attempt = 0
-        while True:
-            try:
-                return materializer.get_into(key, out)
-            except _RETRYABLE:
-                if attempt >= self.retry_policy.max_retries:
-                    raise
-                self.stats.demand_retries += 1
-                time.sleep(self.retry_policy.delay_for(attempt, self._jitter_rng()))
-                attempt += 1
+        return call_with_retries(
+            fn, self.retry_policy, _RETRYABLE, self._jitter_rng(), note
+        )
 
-    def _batch_metadata(self, assembly: BatchAssembly) -> Dict:
+    def batch_metadata(self, assembly: BatchAssembly) -> Dict:
         videos, timestamps, labels, frame_lists = [], [], [], []
         for video_id, leaf_key in assembly.samples:
             graph = self.plan.graphs[video_id]
@@ -699,9 +693,7 @@ class PreprocessingEngine:
                     f"injected crash at job #{job_index} ({job.video_id})"
                 )
             materializer = self._materializer(job.video_id)
-            self._materialize_with_retries(
-                job.video_id, materializer, sorted(job.frontier)
-            )
+            self._materialize_job(job.video_id, materializer, sorted(job.frontier))
             released = materializer.release_raw_frames()
             self.stats.raw_frame_releases += released
             self._aggregate_materializer_stats()
@@ -712,39 +704,39 @@ class PreprocessingEngine:
             with self._inflight_lock:
                 self._inflight -= 1
 
-    def _materialize_with_retries(
+    def _materialize_job(
         self, video_id: str, materializer: VideoMaterializer, frontier: List[str]
     ) -> None:
         """Run one job's frontier with bounded retry + dead-lettering.
 
-        Materialization is idempotent (memoized nodes are free on the
-        second pass), so a retry only re-runs what actually failed.  A
-        job that exhausts its retries is dead-lettered in the stats and
-        skipped — the window stays alive, and the demand path recomputes
-        anything the job failed to pre-materialize.
+        Keys a trainer already consumed straight into its batch slot are
+        skipped: their one planned use is over.  Materialization is
+        idempotent (memoized nodes are free on the second pass), so a
+        retry only re-runs what actually failed.  A job that exhausts
+        its retries is dead-lettered in the stats and skipped — the
+        window stays alive, and the demand path recomputes anything the
+        job failed to pre-materialize.
         """
-        attempt = 0
-        while True:
-            try:
-                for node_key in frontier:
-                    if self._stop.is_set():
-                        return
-                    materializer.get(node_key)
-                self.stats.pre_materializations += len(frontier)
-                return
-            except _RETRYABLE as exc:
-                if attempt >= self.retry_policy.max_retries:
-                    self.stats.dead_letters.append(
-                        DeadLetterRecord(
-                            video_id=video_id,
-                            attempts=attempt + 1,
-                            reason=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
+
+        def run() -> None:
+            done = 0
+            for node_key in frontier:
+                if self._stop.is_set():
                     return
-                self.stats.job_retries += 1
-                time.sleep(self.retry_policy.delay_for(attempt, self._jitter_rng()))
-                attempt += 1
+                done += materializer.prematerialize(node_key)
+            self.stats.pre_materializations += done
+            self.stats.consumed_skipped += len(frontier) - done
+
+        try:
+            self._retry(run, "job_retries")
+        except _RETRYABLE as exc:
+            self.stats.dead_letters.append(
+                DeadLetterRecord(
+                    video_id=video_id,
+                    attempts=self.retry_policy.max_retries + 1,
+                    reason=f"{type(exc).__name__}: {exc}",
+                )
+            )
 
     # -- shared state ------------------------------------------------------------
     def _materializer(self, video_id: str) -> VideoMaterializer:
@@ -789,6 +781,7 @@ class PreprocessingEngine:
         self.stats.corrupt_objects_evicted = sum(
             m.stats.corrupt_evictions for m in materializers
         )
+        self.stats.dead_stores_elided = sum(len(m.consumed) for m in materializers)
         traffic = TrafficLedger()
         traffic.add(self._engine_traffic)
         for m in materializers:

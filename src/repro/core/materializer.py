@@ -127,6 +127,11 @@ class VideoMaterializer:
         # fault-injection harness to wrap decoders in failure proxies.
         self.decoder_wrapper = decoder_wrapper
         self.stats = MaterializeStats()
+        # Frontier leaves whose single planned use already took them
+        # through ``get_into``: nothing will read them again, so
+        # ``prematerialize`` skips them.  ``get``/``get_into`` ignore the
+        # marks (a re-request recomputes, byte-identically).
+        self.consumed: Set[str] = set()
         self._memo: Dict[str, np.ndarray] = {}
         self._decoder: Optional[VideoDecoder] = None
         self._lock = make_rlock("materializer")
@@ -140,16 +145,19 @@ class VideoMaterializer:
     def get_into(self, key: str, out: np.ndarray) -> bool:
         """Materialize ``key`` directly into ``out`` (copy elision).
 
-        The fast path computes a single-use, uncached sample leaf
-        straight into the caller's buffer (the batch slot) without
-        memoizing it — with fusion's pointwise epilogue, the write into
-        ``out`` is the op's only output pass, and with a pooled delivery
-        buffer as the destination, the trainer reads these exact bytes.
-        Anything shared, cached, frontier-bound, or clip-op-bearing
-        falls back to ``get`` + copy so caching and reuse decisions are
-        unchanged.  Returns True when the fast path wrote ``out``
-        directly, False on the fallback copy (the engine's dataplane
-        stats count both).
+        The fast path computes a single-use sample leaf that is neither
+        memoized nor in the store straight into the caller's buffer (the
+        batch slot) without memoizing it — with fusion's pointwise
+        epilogue, the write into ``out`` is the op's only output pass,
+        and with a pooled delivery buffer as the destination, the
+        trainer reads these exact bytes.  The caller *is* the leaf's one
+        planned use, so a frontier leaf taken this way is not persisted
+        either (a store nobody would read); it is marked ``consumed``
+        once the write succeeded.  Anything shared, memoized, stored, or
+        clip-op-bearing falls back to ``get`` + copy so caching and
+        reuse decisions are unchanged.  Returns True when the fast path
+        wrote ``out`` directly, False on the fallback copy (the engine's
+        dataplane stats count both).
         """
         with self._lock:
             node = self.graph.nodes.get(key)
@@ -161,10 +169,11 @@ class VideoMaterializer:
                 and not node.clip_ops
                 and len(node.uses) <= 1
                 and key not in self._memo
-                and key not in self.frontier
                 and (self.cache is None or key not in self.cache)
             ):
                 self._compute_sample_fused(node, out=out)
+                if self.cache is not None and key in self.frontier:
+                    self.consumed.add(key)  # a store nobody would read, elided
                 sanitizer = buffer_sanitizer()
                 if sanitizer is not None:
                     # The slot now holds the leaf's final bytes; anything
@@ -178,6 +187,36 @@ class VideoMaterializer:
             np.copyto(out, array, casting="no")
             self.stats.traffic.charge(out.nbytes, allocated=False)
             return False
+
+    def leaf_spec(self, key: str) -> Optional[Tuple[Tuple[int, ...], np.dtype]]:
+        """Shape and dtype of a sample leaf from the plan alone.
+
+        ``None`` when they are not static: clip-scoped ops reshape the
+        collated clip, and an opaque op's output dtype is only known by
+        running it.  Decoded frames are ``(1, H, W, 3)`` uint8.
+        """
+        node = self.graph.nodes[key]
+        if node.kind != "sample" or node.clip_ops or node.clip_shape is None:
+            return None
+        chain, _ = self._aug_chain(node.parents[0])
+        metadata = self.graph.metadata
+        plan = plan_for(self.registry, chain, (1, metadata.height, metadata.width, 3))
+        dtype = plan.out_dtype(np.dtype(np.uint8))
+        return None if dtype is None else (node.clip_shape, dtype)
+
+    def prematerialize(self, key: str) -> bool:
+        """``get`` ahead of use, for the pre-materialization worker.
+
+        False, with nothing done, when the key's only planned use
+        already consumed it: decided under the lock, so a worker that
+        waited for that very ``get_into`` does not then compute and
+        persist the leaf behind the trainer's back.
+        """
+        with self._lock:
+            if key in self.consumed:
+                return False
+            self.get(key)
+            return True
 
     def materialize_frontier(self) -> int:
         """Compute and persist every frontier node; returns nodes stored."""
@@ -493,14 +532,8 @@ class VideoMaterializer:
         signals = self._frame_signals()
         if signals is None or not signals.has_deltas:
             return None
-        ops: List[Tuple[str, str, str]] = []
-        node = self.graph.nodes.get(key)
-        while node is not None and node.kind == "aug":
-            if node.op_args is None:  # pragma: no cover - aug nodes carry args
-                return None
-            ops.append(node.op_args)
-            node = self.graph.nodes.get(node.parents[0])
-        if node is None:
+        ops, node = self._aug_chain(key)
+        if node is None or node.kind == "aug":  # pragma: no cover - malformed graph
             return None
         if node.kind == "frame" and node.frame_index is not None:
             base: Tuple[str, object] = (
@@ -509,7 +542,20 @@ class VideoMaterializer:
             )
         else:
             base = ("key", node.key)
-        return (base, tuple(reversed(ops)))
+        return (base, ops)
+
+    def _aug_chain(
+        self, key: str
+    ) -> Tuple[Tuple[Tuple[str, str, str], ...], Optional[ObjectNode]]:
+        """The whole aug chain ending at ``key`` — op identities in
+        application order — and the node below it.  Ignores memoization
+        state, so it is a pure function of the graph."""
+        ops: List[Tuple[str, str, str]] = []
+        node = self.graph.nodes.get(key)
+        while node is not None and node.kind == "aug" and node.op_args is not None:
+            ops.append(node.op_args)
+            node = self.graph.nodes.get(node.parents[0])
+        return tuple(reversed(ops)), node
 
     def _slot_reuse_allowed(self, key: str) -> bool:
         """May this parent's materialization be skipped entirely?

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Set
+from typing import Collection, Dict, List, Set
 
 from repro.core.concrete_graph import MaterializationPlan
 from repro.core.pruning import PruningOutcome
@@ -81,8 +81,15 @@ def write_checkpoint(
     plan: MaterializationPlan,
     pruning: PruningOutcome,
     seed: int,
+    consumed: Collection[str] = (),
 ) -> Path:
-    """Persist the manifest ("checkpointed every k epochs", S5.5)."""
+    """Persist the manifest ("checkpointed every k epochs", S5.5).
+
+    The frontier lists what must exist for the *rest* of the window:
+    ``consumed`` objects (leaves whose only planned use already took
+    them, so they were never persisted) have no reader left and are
+    left out, so recovery does not report them missing.
+    """
     manifest = {
         "version": MANIFEST_VERSION,
         "seed": seed,
@@ -90,7 +97,8 @@ def write_checkpoint(
         "k_epochs": plan.k_epochs,
         "tasks": sorted(plan.tasks),
         "frontier": {
-            vid: sorted(pruning.frontier_of(vid)) for vid in plan.graphs
+            vid: sorted(k for k in pruning.frontier_of(vid) if k not in consumed)
+            for vid in plan.graphs
         },
     }
     path = Path(path)

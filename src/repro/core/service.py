@@ -32,6 +32,7 @@ root the task configs name.
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 from typing import (
     Callable,
@@ -102,17 +103,20 @@ class PlanCache:
     a cache exactly when they would plan identically.
     """
 
-    CAPACITY = 2
+    CAPACITY = 3  # previous, current, next (planned ahead)
 
     def __init__(self) -> None:
         self._cond = make_condition("service.plan-cache")
         self._windows: Dict[Hashable, PlannedWindow] = {}  # insertion = age order
         self._building: Set[Hashable] = set()
         self.builds = 0
+        self.ahead_builds = 0  # of ``builds``, those plan-ahead ran off the demand path
         self.hits = 0
         self.waits = 0
 
-    def get(self, key: Hashable, build: Callable[[], PlannedWindow]) -> PlannedWindow:
+    def get(
+        self, key: Hashable, build: Callable[[], PlannedWindow], ahead: bool = False
+    ) -> PlannedWindow:
         with self._cond:
             if key in self._building:
                 self.waits += 1
@@ -126,6 +130,7 @@ class PlanCache:
             window = build()
             with self._cond:
                 self.builds += 1
+                self.ahead_builds += ahead
                 self._windows[key] = window
                 while len(self._windows) > self.CAPACITY:
                     del self._windows[next(iter(self._windows))]
@@ -139,6 +144,7 @@ class PlanCache:
         with self._cond:
             return {
                 "builds": self.builds,
+                "ahead_builds": self.ahead_builds,
                 "hits": self.hits,
                 "waits": self.waits,
                 "windows": len(self._windows),
@@ -156,6 +162,10 @@ class _Group:
         self.plan: Optional[MaterializationPlan] = None
         self.pruning: Optional[PruningOutcome] = None
         self.engine: Optional[PreprocessingEngine] = None
+        # Plan-ahead: the window start whose background build was last
+        # started, and the thread running it (joined on shutdown).
+        self.ahead_start: Optional[int] = None
+        self.planner: Optional[threading.Thread] = None
 
 
 class SandService(FileSystemProvider):
@@ -318,9 +328,34 @@ class SandService(FileSystemProvider):
             ):
                 assert group.engine is not None
                 group.engine.start()  # no-op if already running
+                if epoch == group.window_start + self.k_epochs - 1:
+                    self._plan_ahead(group, group.window_start + self.k_epochs)
                 return group.engine
             start = (epoch // self.k_epochs) * self.k_epochs
             return self._build_window(group, start)
+
+    def _plan_ahead(self, group: _Group, epoch_start: int) -> None:
+        """Build the next window's plan off the trainers' threads.
+
+        Started once per window, by the first request for its last
+        epoch: a plan is a pure function of (seed, window, tasks), so by
+        the time a trainer rolls, the cache holds it (or the roll waits
+        for the build in flight — never builds twice).  A build that
+        raises caches nothing; the roll then rebuilds on the trainer's
+        thread and raises there.
+        """
+        if group.ahead_start == epoch_start:
+            return
+        if group.planner is not None:
+            group.planner.join()  # a window old: long finished
+        group.ahead_start = epoch_start
+        group.planner = threading.Thread(
+            target=self._planned,
+            args=(group, epoch_start, True),
+            name="sand-plan-ahead",
+            daemon=True,
+        )
+        group.planner.start()
 
     def window_plan(self, epoch: int, task: Optional[str] = None) -> MaterializationPlan:
         """The plan of the window containing ``epoch`` — metadata only:
@@ -329,7 +364,9 @@ class SandService(FileSystemProvider):
         start = (epoch // self.k_epochs) * self.k_epochs
         return self._planned(group, start)[0]
 
-    def _planned(self, group: _Group, epoch_start: int) -> PlannedWindow:
+    def _planned(
+        self, group: _Group, epoch_start: int, ahead: bool = False
+    ) -> PlannedWindow:
         budget = self.store.capacity_bytes if self.prune else None
 
         def build() -> PlannedWindow:
@@ -353,7 +390,7 @@ class SandService(FileSystemProvider):
             budget,
             len(group.dataset.video_ids),  # a streaming corpus grows per window
         )
-        return self.plan_cache.get(key, build)
+        return self.plan_cache.get(key, build, ahead)
 
     def set_scope(self, owns: Optional[Callable[[BatchAssembly], bool]]) -> None:
         """Confine background work to the batches ``owns`` accepts.
@@ -412,6 +449,8 @@ class SandService(FileSystemProvider):
     def shutdown(self) -> None:
         with self._window_lock:
             for group in self._groups.values():
+                if group.planner is not None:
+                    group.planner.join()
                 if group.engine is not None:
                     group.engine.retire()
             # Lease-leak check over the shared delivery pool: with every
@@ -453,6 +492,8 @@ class SandService(FileSystemProvider):
                     "batches_served": stats.batches_served,
                     "demand_materializations": stats.demand_materializations,
                     "pre_materializations": stats.pre_materializations,
+                    "dead_stores_elided": stats.dead_stores_elided,
+                    "consumed_skipped": stats.consumed_skipped,
                     "job_retries": stats.job_retries,
                     "dead_letters": len(stats.dead_letters),
                     "fallback_rematerializations": stats.fallback_rematerializations,
@@ -504,7 +545,14 @@ class SandService(FileSystemProvider):
             group = self._single_group()
             if group.plan is None or group.pruning is None:
                 raise RuntimeError("no active window to checkpoint")
-            return write_checkpoint(Path(directory), group.plan, group.pruning, self.seed)
+            assert group.engine is not None
+            return write_checkpoint(
+                Path(directory),
+                group.plan,
+                group.pruning,
+                self.seed,
+                consumed=group.engine.consumed_keys(),
+            )
 
     def recover_from(self, directory) -> RecoveryReport:
         """Three-step restart: replan, rescan the store, diff (S5.5).
@@ -712,11 +760,15 @@ class SandService(FileSystemProvider):
             raise FileNotFoundVfsError(path)
         dataset = self._group(view.task).dataset
         if isinstance(view, BatchView):
-            batch, metadata = self.batch(view.task, view.epoch, view.iteration)
-            if name == "shape":
-                return json.dumps(list(batch.shape)).encode()
-            if name == "dtype":
+            key = (view.task, view.epoch, view.iteration)
+            if name in ("shape", "dtype"):
+                batch, _ = self.batch(*key)
+                if name == "shape":
+                    return json.dumps(list(batch.shape)).encode()
                 return str(batch.dtype).encode()
+            # Everything else is plan metadata: no batch is assembled for it.
+            engine = self.ensure_window(view.epoch, task=view.task)
+            metadata = engine.batch_metadata(engine.plan.batches[key])
             if name in metadata:
                 return json.dumps(metadata[name]).encode()
             raise NoAttributeError(path, f"no xattr {name!r}")

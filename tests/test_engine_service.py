@@ -1,10 +1,13 @@
 """Tests for the materializer, engine, service, POSIX facade, recovery."""
 
 import json
+import time
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.analysis.sanitizers import collect_report
 from repro.augment.registry import default_registry
 from repro.core import (
     CacheManager,
@@ -19,6 +22,17 @@ from repro.core import (
     write_checkpoint,
 )
 from repro.datasets import DatasetSpec, SyntheticDataset
+from repro.faults import (
+    SITE_DECODE,
+    SITE_ENGINE_JOB,
+    SITE_STORE_GET,
+    SITE_STORE_PUT,
+    FaultSchedule,
+    FaultSpec,
+    FaultyStore,
+    TransientDecodeError,
+)
+from repro.storage import RetryPolicy
 from repro.storage.local import LocalStore
 from repro.storage.objectstore import ObjectStore
 from repro.vfs.errors import FileNotFoundVfsError, NoAttributeError
@@ -219,6 +233,169 @@ def test_engine_respects_pruned_frontier(dataset):
     batch, _ = engine.get_batch("t", 0, 0)
     ref = PreprocessingEngine(plan, dataset, num_workers=0).get_batch("t", 0, 0)[0]
     assert np.array_equal(batch, ref)
+
+
+# -- dead-store elision ---------------------------------------------------------------
+
+FAST_RETRY = RetryPolicy(max_retries=3, base_delay_s=0.0, max_delay_s=0.0)
+
+
+def capstone_with_decode_faults(seed):
+    """The PR 2 capstone schedule plus flaky decode: the one fault that can
+    strike while a leaf is being written into its batch slot."""
+    return FaultSchedule(
+        seed=seed,
+        specs=[
+            FaultSpec(kind="transient-error", site=SITE_STORE_GET, rate=0.05),
+            FaultSpec(kind="transient-error", site=SITE_STORE_PUT, rate=0.05),
+            FaultSpec(kind="crash", site=SITE_ENGINE_JOB, at_count=2, max_fires=1),
+            FaultSpec(kind="transient-error", site=SITE_DECODE, rate=0.2),
+        ],
+    )
+
+
+def cached_engine(plan, dataset, fault_schedule=None, **kwargs):
+    """An engine over a leaf-level frontier and a store that fits it."""
+    store = LocalStore(10**8)
+    pruning = prune_plan(plan, plan.total_cached_bytes() * 1.01)
+    cache = CacheManager(
+        store if fault_schedule is None else FaultyStore(store, fault_schedule)
+    )
+    cache.register_plan(plan, pruning)
+    engine = PreprocessingEngine(
+        plan, dataset, pruning=pruning, cache=cache, fault_schedule=fault_schedule,
+        retry_policy=FAST_RETRY, **kwargs,
+    )
+    return engine, store, pruning
+
+
+def leaf_keys(plan):
+    return {leaf.key for graph in plan.graphs.values() for leaf in graph.leaves()}
+
+
+@pytest.mark.parametrize("faulty", (False, True), ids=("clean", "faults"))
+@pytest.mark.parametrize("seed", (5, 6, 7))
+def test_demand_only_epoch_leaves_no_single_use_leaf_behind(dataset, seed, faulty):
+    plan = build_plan_window([make_config()], dataset, 0, 2, seed=seed)
+    leaves = leaf_keys(plan)
+    assert all(
+        len(leaf.uses) == 1 for graph in plan.graphs.values() for leaf in graph.leaves()
+    )
+    schedule = capstone_with_decode_faults(seed) if faulty else None
+    engine, store, _ = cached_engine(plan, dataset, schedule, num_workers=0)
+    reference = PreprocessingEngine(plan, dataset, num_workers=0, fusion_enabled=False)
+    slots = 0
+    for key in sorted(plan.batches):
+        batch, _ = engine.get_batch(*key)
+        assert np.array_equal(batch, reference.get_batch(*key)[0]), key
+        slots += len(plan.batches[key].samples)
+    # Every leaf went straight into its only batch: nothing stored, nothing
+    # memoized, no slot filled by get + copy — from the first batch on.
+    assert not leaves & set(store.keys())
+    assert not any(
+        engine._materializer(vid).in_memory(leaf.key)
+        for vid, graph in plan.graphs.items()
+        for leaf in graph.leaves()
+    )
+    dataplane = engine.dataplane_report()
+    assert dataplane["slot_writes_copied"] == 0
+    assert dataplane["slot_writes_direct"] == slots
+    assert dataplane["leases_outstanding"] == 0
+    assert engine.stats.dead_stores_elided == len(leaves)
+    assert engine.consumed_keys() == leaves
+    if faulty:
+        assert engine.stats.demand_retries > 0  # retried into the same slot
+
+
+def test_leaf_is_consumed_only_once_its_slot_write_succeeded(dataset, plan):
+    schedule = FaultSchedule(
+        seed=0, specs=[FaultSpec(kind="transient-error", site=SITE_DECODE, at_count=1)]
+    )
+    engine, store, _ = cached_engine(plan, dataset, schedule, num_workers=0)
+    engine.retry_policy = RetryPolicy(max_retries=0)
+    with pytest.raises(TransientDecodeError):
+        engine.get_batch("t", 0, 0)
+    assert engine.consumed_keys() == set()
+    assert engine.dataplane_report()["leases_outstanding"] == 0  # lease given back
+    batch, _ = engine.get_batch("t", 0, 0)
+    reference = PreprocessingEngine(plan, dataset, num_workers=0, fusion_enabled=False)
+    assert np.array_equal(batch, reference.get_batch("t", 0, 0)[0])
+    assert engine.consumed_keys() == {key for _, key in plan.batches[("t", 0, 0)].samples}
+    assert not set(store.keys())
+
+
+def test_worker_and_prefetch_account_for_every_frontier_key_once(dataset, plan):
+    engine, store, pruning = cached_engine(
+        plan, dataset, num_workers=1, prefetch_depth=2
+    )
+    frontier = {key for vid in plan.graphs for key in pruning.frontier_of(vid)}
+    with engine:
+        for key in sorted(plan.batches):
+            lease, _ = engine.get_batch_lease(*key)
+            lease.release()
+        engine.drain()
+    engine.dataplane_report()  # fold the materializers' counters in
+    stats = engine.stats
+    # A frontier key is either materialized ahead by the worker (and then
+    # persisted), or eaten first by its only consumer and skipped by the
+    # worker: never both, never neither.
+    assert stats.pre_materializations + stats.dead_stores_elided == len(frontier)
+    assert stats.consumed_skipped == stats.dead_stores_elided
+    stores = sum(engine._materializer(vid).stats.cache_stores for vid in plan.graphs)
+    assert stores == stats.pre_materializations
+    assert set(store.keys()) == frontier - engine.consumed_keys()
+    report = stats.traffic_report()
+    assert report["dead_stores_elided"] == stats.dead_stores_elided
+    assert report["consumed_skipped"] == stats.consumed_skipped
+
+
+@pytest.mark.parametrize("discard", ("rescope", "retire"))
+def test_discarded_speculative_batch_is_recomputed_on_demand(
+    sanitized, dataset, plan, discard
+):
+    engine, store, _ = cached_engine(plan, dataset, num_workers=0, prefetch_depth=2)
+    engine.start()
+    try:
+        deadline = time.monotonic() + 10
+        while engine.prefetch_queue_depth() < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert engine.prefetch_queue_depth() == 2
+        speculated = engine.consumed_keys()
+        assert speculated  # eaten by batches no trainer ever saw
+        if discard == "rescope":
+            engine.rescope(lambda assembly: False)  # reload(): owns nothing now
+        else:
+            engine.retire()
+        assert engine.prefetch_queue_depth() == 0
+        reference = PreprocessingEngine(plan, dataset, num_workers=0, fusion_enabled=False)
+        for key in sorted(plan.batches)[:2]:
+            lease, _ = engine.get_batch_lease(*key)
+            assert zlib.crc32(lease.array) == zlib.crc32(reference.get_batch(*key)[0])
+            lease.release()
+        assert engine.stats.prefetch.hits == 0  # recomputed, not handed over
+        assert not speculated & set(store.keys())
+        assert engine.dataplane_report()["leases_outstanding"] == 0
+    finally:
+        engine.stop()
+    assert collect_report().clean(), collect_report().as_dict()
+
+
+def test_two_use_leaf_is_still_memoized_and_persisted_once(dataset):
+    configs = [make_config("a"), make_config("b")]
+    plan = build_plan_window(configs, dataset, 0, 1, seed=5)
+    assert all(
+        len(leaf.uses) == 2 for graph in plan.graphs.values() for leaf in graph.leaves()
+    )
+    engine, store, _ = cached_engine(plan, dataset, num_workers=0)
+    batch_a, _ = engine.get_batch("a", 0, 0)
+    batch_b, _ = engine.get_batch("b", 0, 0)
+    assert np.array_equal(batch_a, batch_b)
+    samples = plan.batches[("a", 0, 0)].samples
+    assert samples == plan.batches[("b", 0, 0)].samples
+    assert set(store.keys()) == {key for _, key in samples}
+    assert all(engine._materializer(vid).in_memory(key) for vid, key in samples)
+    assert store.stats.puts == len(samples)  # once, then served to both
+    assert engine.stats.dead_stores_elided == 0 and engine.consumed_keys() == set()
 
 
 # -- engine lifecycle: idempotent, exception-safe, restartable ----------------------

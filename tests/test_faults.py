@@ -590,7 +590,15 @@ def test_tiered_epoch_survives_tier_outage_compaction_crash_and_tier_loss(
             expected, _ = reference.get_batch(task, epoch, iteration)
             assert np.array_equal(batch, expected), (task, epoch, iteration)
 
-        manifest_path = write_checkpoint(tmp_path, plan, pruning, seed=5)
+        # The crashed job's leaves were never pre-materialized; the demand
+        # path wrote each straight into its only batch (no dead store), so
+        # the rest of the window has no use for them and the checkpoint
+        # does not list them.
+        consumed = engine.consumed_keys()
+        assert consumed and not any(key in tiered for key in consumed)
+        manifest_path = write_checkpoint(
+            tmp_path, plan, pruning, seed=5, consumed=consumed
+        )
 
     assert engine.stats.worker_crashes == 1
     assert engine.stats.batches_served == len(plan.batches)
@@ -609,6 +617,8 @@ def test_tiered_epoch_survives_tier_outage_compaction_crash_and_tier_loss(
         RemoteStore(10**9, root=tmp_path / "warm", retry=FAST_RETRY),
     )
     report = recover(read_checkpoint(manifest_path), fresh)
+    frontier_keys = {k for vid in plan.graphs for k in pruning.frontier_of(vid)}
+    assert report.planned_objects == len(frontier_keys - consumed)
     assert report.missing_count == 0  # k=2 survived the tier loss
     assert fresh.tier_stats.replica_losses == 0
 
@@ -622,7 +632,12 @@ def test_tiered_epoch_survives_tier_outage_compaction_crash_and_tier_loss(
         batch, _ = engine2.get_batch(task, epoch, iteration)
         expected, _ = reference.get_batch(task, epoch, iteration)
         assert np.array_equal(batch, expected), (task, epoch, iteration)
-    assert engine2.stats.frames_decoded == 0  # recomputed == 0
+    # Everything the window still needed came back by copy: re-serving the
+    # whole epoch decodes only for the leaves that had already been consumed.
+    redecoded = {
+        vid for vid in plan.graphs if engine2._materializer(vid).stats.frames_decoded
+    }
+    assert redecoded == {key.split(":")[1] for key in consumed}
 
 
 def test_fused_engine_under_faults_matches_unfused_fault_free_run(dataset, plan):

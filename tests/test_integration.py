@@ -140,32 +140,48 @@ def test_corrupt_cache_entry_is_dropped_and_recomputed(dataset):
 
 def test_service_checkpoint_and_recover(dataset, tmp_path):
     config = make_config()
+    # No prefetch: which batches were assembled (and so which leaves were
+    # consumed) by the time of the checkpoint is then exactly (0, 0).
+    knobs = dict(k_epochs=2, num_workers=0, prefetch_depth=0, seed=8)
     store = LocalStore(10**8, root=tmp_path / "cache")
-    service = SandService([config], dataset, k_epochs=2, num_workers=0, store=store, seed=8)
+    service = SandService([config], dataset, store=store, **knobs)
     try:
         service.get_batch("t", 0, 0)
         service.engine.drain()
+        # Batch (0, 0)'s leaves went straight into it and were never
+        # persisted; nothing left in the window reads them again.
+        consumed = service.engine.consumed_keys()
+        assert consumed and not any(key in store for key in consumed)
+        frontier = sum(len(v.frontier) for v in service.pruning.videos.values())
         manifest_path = service.checkpoint(tmp_path)
     finally:
         service.shutdown()
 
     # "Crash": a brand-new service over the same persistent directory.
     store2 = LocalStore(10**8, root=tmp_path / "cache")
-    service2 = SandService([config], dataset, k_epochs=2, num_workers=0, store=store2, seed=8)
+    service2 = SandService([config], dataset, store=store2, **knobs)
     try:
         report = service2.recover_from(tmp_path)
+        # A consumed object is not a missing one.
+        assert report.planned_objects == frontier - len(consumed)
+        assert report.missing_count == 0
         assert report.recovered_fraction == 1.0
-        # And training resumes with identical data.
-        b1, _ = service2.get_batch("t", 0, 0)
+        # Training resumes with identical data, and everything not yet
+        # consumed is read back rather than re-decoded ...
+        b1, _ = service2.get_batch("t", 0, 1)
+        assert service2.engine.stats.frames_decoded == 0
+        # ... while a consumed batch asked for again is recomputed.
+        b0, _ = service2.get_batch("t", 0, 0)
+        assert service2.engine.stats.frames_decoded > 0
     finally:
         service2.shutdown()
 
-    service3 = SandService([config], dataset, k_epochs=2, num_workers=0, seed=8)
+    service3 = SandService([config], dataset, **knobs)
     try:
-        b2, _ = service3.get_batch("t", 0, 0)
+        for iteration, recovered in ((0, b0), (1, b1)):
+            assert np.array_equal(recovered, service3.get_batch("t", 0, iteration)[0])
     finally:
         service3.shutdown()
-    assert np.array_equal(b1, b2)
 
 
 def test_checkpoint_requires_active_window(dataset, tmp_path):

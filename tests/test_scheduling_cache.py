@@ -232,3 +232,43 @@ def test_get_and_contains_facade():
     assert cache.get("k") == b"v"
     assert cache.delete("k")
     assert cache.get("k") is None
+
+
+# -- plan cache ------------------------------------------------------------------
+
+
+def test_plan_cache_keeps_previous_current_and_next():
+    from repro.core.service import PlanCache
+
+    cache = PlanCache()
+    built = []
+
+    def build(key):
+        return lambda: built.append(key) or (key, None)
+
+    for key in (0, 2):
+        cache.get(key, build(key))
+    cache.get(4, build(4), ahead=True)
+    cache.get(4, build(4), ahead=True)  # already there: not an ahead *build*
+    cache.get(0, build(0))  # back a window: still cached
+    assert built == [0, 2, 4]
+    report = cache.report()
+    assert (report["builds"], report["ahead_builds"], report["hits"]) == (3, 1, 2)
+    cache.get(6, build(6))  # a fourth window evicts the oldest
+    cache.get(0, build(0))
+    assert built == [0, 2, 4, 6, 0] and cache.report()["windows"] == 3
+
+
+def test_plan_cache_does_not_cache_a_failed_build():
+    from repro.core.service import PlanCache
+
+    cache = PlanCache()
+
+    def doomed():
+        raise RuntimeError("planner down")
+
+    with pytest.raises(RuntimeError):
+        cache.get(0, doomed, ahead=True)
+    assert cache.get(0, lambda: ("plan", None)) == ("plan", None)
+    report = cache.report()
+    assert (report["builds"], report["ahead_builds"], report["windows"]) == (1, 0, 1)

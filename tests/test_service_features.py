@@ -1,9 +1,14 @@
 """Tests for service-level features: multi-task, branches through the
 service, cache policies, engine memory-pressure behaviour."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import repro.core.service as service_module
+from repro.analysis.sanitizers import collect_report
 from repro.core import (
     CacheManager,
     PreprocessingEngine,
@@ -217,3 +222,107 @@ def test_fifo_scheduling_mode_via_service(dataset):
         assert batch.size > 0
     finally:
         service.shutdown()
+
+
+# -- plan-ahead ----------------------------------------------------------------------
+
+
+def wait_for(condition, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert condition()
+
+
+def planning_service(dataset, monkeypatch, on_build=lambda epoch_start: None):
+    """A 2-epoch-window service whose plan builds are recorded in ``calls``
+    (``on_build`` runs first, on the building thread)."""
+    calls = []
+    build = service_module.build_plan_window
+
+    def recording(tasks, dataset, epoch_start, *args, **kwargs):
+        on_build(epoch_start)
+        calls.append(epoch_start)
+        return build(tasks, dataset, epoch_start, *args, **kwargs)
+
+    monkeypatch.setattr(service_module, "build_plan_window", recording)
+    service = SandService([load_task_config(simple_task("t"))], dataset,
+                          storage_budget_bytes=10**8, k_epochs=2, num_workers=0,
+                          prefetch_depth=0)
+    return service, calls
+
+
+def test_roll_into_a_window_planned_ahead_is_a_cache_hit(dataset, monkeypatch):
+    service, calls = planning_service(dataset, monkeypatch)
+    try:
+        service.get_batch("t", 0, 0)
+        assert calls == [0]  # nothing is planned ahead before the last epoch
+        service.get_batch("t", 1, 0)
+        service.get_batch("t", 1, 1)  # only the *first* such request plans ahead
+        wait_for(lambda: service.plan_cache.report()["builds"] == 2)
+        before = service.plan_cache.report()
+        assert before["ahead_builds"] == 1
+        service.get_batch("t", 2, 0)
+        after = service.status()["plan_cache"]
+        assert service.plan.epoch_start == 2
+        assert after["builds"] == before["builds"] and after["hits"] == before["hits"] + 1
+        assert calls == [0, 2]
+    finally:
+        service.shutdown()
+
+
+def test_trainer_arriving_mid_build_waits_and_does_not_build(dataset, monkeypatch):
+    gate = threading.Event()
+    service, calls = planning_service(
+        dataset, monkeypatch, lambda start: start == 2 and gate.wait(10)
+    )
+    try:
+        service.get_batch("t", 0, 0)
+        service.get_batch("t", 1, 0)  # the ahead build of window 2 starts, and blocks
+        trainer = threading.Thread(target=service.get_batch, args=("t", 2, 0))
+        trainer.start()
+        wait_for(lambda: service.plan_cache.report()["waits"] == 1)
+        assert trainer.is_alive() and service.plan.epoch_start == 0
+        gate.set()
+        trainer.join(10)
+        assert not trainer.is_alive() and service.plan.epoch_start == 2
+        assert calls == [0, 2]
+        report = service.plan_cache.report()
+        assert (report["builds"], report["ahead_builds"]) == (2, 1)
+    finally:
+        gate.set()
+        service.shutdown()
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_failed_background_build_surfaces_on_the_demand_path(dataset, monkeypatch):
+    def planner_down(epoch_start):
+        if epoch_start == 2:
+            raise RuntimeError("planner down")
+
+    service, calls = planning_service(dataset, monkeypatch, planner_down)
+    try:
+        service.get_batch("t", 0, 0)
+        service.get_batch("t", 1, 0)  # the ahead build raises on its own thread
+        with pytest.raises(RuntimeError, match="planner down"):
+            service.get_batch("t", 2, 0)
+        assert service.plan.epoch_start == 0  # the live window is untouched
+        assert service.get_batch("t", 1, 1)[0].size > 0
+        report = service.plan_cache.report()
+        assert (report["builds"], report["ahead_builds"], report["windows"]) == (1, 0, 1)
+    finally:
+        service.shutdown()
+
+
+def test_shutdown_joins_the_planner(sanitized, dataset, monkeypatch):
+    service, calls = planning_service(
+        dataset, monkeypatch, lambda start: start == 2 and time.sleep(0.2)
+    )
+    try:
+        service.get_batch("t", 0, 0)
+        service.get_batch("t", 1, 0)
+    finally:
+        service.shutdown()
+    assert not [t for t in threading.enumerate() if t.name == "sand-plan-ahead"]
+    assert calls == [0, 2]  # the build in flight finished before shutdown returned
+    assert collect_report().clean(), collect_report().as_dict()

@@ -7,7 +7,7 @@ glance — so the CI perf job (and a human skimming a PR) sees every
 standing baseline in one place instead of cat'ing files one by one.
 
 Usage:
-    PYTHONPATH=src python tools/bench_summary.py [results_dir]
+    python tools/bench_summary.py [results_dir]
 
 Exit status is non-zero if the results directory holds no BENCH files
 (a perf job that produced nothing is a broken perf job).
@@ -20,7 +20,11 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Tuple
 
-from repro.metrics import Table
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+from repro.metrics import Table  # noqa: E402
 
 # The headline metrics per benchmark, as dotted paths into its JSON.
 # Unknown benchmarks (and paths missing after a schema change) fall back
