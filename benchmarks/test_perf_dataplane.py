@@ -3,7 +3,7 @@
 Two experiments over the same plan window:
 
 * **Delivery copies** — a trainer reads the window through the
-  in-process :class:`LocalClient` lease path.  The gate requires the
+  in-process ``get_batch_lease`` path.  The gate requires the
   trainer-boundary copy ledger to read exactly zero bytes per batch:
   the fused epilogue writes into the pooled delivery buffer and the
   trainer borrows that buffer directly.
@@ -33,7 +33,6 @@ from conftest import once
 from repro.core import (
     AsyncBatchServer,
     BatchSocketClient,
-    LocalClient,
     PreprocessingEngine,
     build_plan_window,
     load_task_config,
@@ -93,12 +92,12 @@ def zero_copy_experiment():
     dataset = make_dataset()
     plan = build_plan_window([make_config()], dataset, 0, K_EPOCHS, seed=5)
     engine = PreprocessingEngine(plan, dataset, num_workers=0, seed=5)
-    trainer = LocalClient(engine)
     delivered = 0
     with engine:
         for key in sorted(plan.batches):
-            with trainer.get_batch(*key) as leased:
-                delivered += leased.nbytes
+            lease, _ = engine.get_batch_lease(*key)
+            with lease:
+                delivered += lease.nbytes
         report = engine.dataplane_report()
     return {
         "num_batches": len(plan.batches),

@@ -136,7 +136,7 @@ _CLOSED = "closed"
 _ESCAPED = "escaped"
 
 _RELEASE_METHODS = {"close", "release", "detach", "shutdown"}
-_ACQUIRE_METHODS = {"acquire", "adopt"}
+_ACQUIRE_METHODS = {"acquire"}
 _OPEN_CALLS = {"open", "io.open", "os.fdopen"}
 
 

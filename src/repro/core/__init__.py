@@ -22,7 +22,9 @@ The pieces, in dependency order:
 * :mod:`repro.core.recovery` — checkpoint/scan/replan fault tolerance
   (S5.5),
 * :mod:`repro.core.wire` / :mod:`repro.core.dataplane` — the binary wire
-  protocol and the async zero-copy batch-serving data plane,
+  protocol and the async zero-copy batch-serving data plane (one pooled
+  ``BatchLease`` per batch from assembly to socket or trainer;
+  ``get_batch_lease`` is the in-process API),
 * :mod:`repro.core.tenancy` / :mod:`repro.core.sharding` /
   :mod:`repro.core.loadgen` — per-tenant quotas + fair admission, the
   content-addressed consistent-hash shard coordinator, and the standing
@@ -87,8 +89,6 @@ from repro.core.dataplane import (
     BatchServerError,
     BatchSocketClient,
     BufferPool,
-    LeasedBatch,
-    LocalClient,
 )
 from repro.core.engine import EngineStats, PreprocessingEngine
 from repro.core.service import PlanCache, SandService
@@ -99,7 +99,6 @@ from repro.core.tenancy import (
     AdmissionTicket,
     AdmissionTimeout,
     TenantQuota,
-    TenantWorkGate,
 )
 from repro.core.sharding import (
     AllShardsDownError,
@@ -148,8 +147,6 @@ __all__ = [
     "LoadGenerator",
     "MaterializationPlan",
     "MaterializationScheduler",
-    "LeasedBatch",
-    "LocalClient",
     "MaterializeStats",
     "NextUseOracle",
     "ObjectNode",
@@ -169,7 +166,6 @@ __all__ = [
     "TaskConfig",
     "TaskRequirement",
     "TenantQuota",
-    "TenantWorkGate",
     "TrainerSpec",
     "Use",
     "VideoGraph",

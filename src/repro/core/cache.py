@@ -190,16 +190,12 @@ class CacheManager:
         return self.store.get(key)
 
     def get_view(self, key: str) -> Optional[memoryview]:
-        """Zero-copy read where the store supports it (packed segments).
+        """Zero-copy read (packed segments serve a view over the mmap).
 
         The view is only valid until the next store mutation; callers
         must consume (decode) it before putting or evicting.
         """
-        reader = getattr(self.store, "get_view", None)
-        if reader is None:
-            data = self.store.get(key)
-            return None if data is None else memoryview(data)
-        return reader(key)
+        return self.store.get_view(key)
 
     def __contains__(self, key: str) -> bool:
         return key in self.store
@@ -210,11 +206,8 @@ class CacheManager:
 
     def flush(self) -> int:
         """Force write-behind store buffers down; no-op otherwise."""
-        flusher = getattr(self.store, "flush", None)
-        return flusher() if flusher is not None else 0
+        return self.store.flush()
 
     def close(self) -> None:
         """Stop background store machinery (write-behind flusher)."""
-        closer = getattr(self.store, "close", None)
-        if closer is not None:
-            closer()
+        self.store.close()

@@ -8,13 +8,17 @@ decode → prefetch → delivery):
 
 * :class:`BufferPool` — reference-counted delivery buffers.  Assembly's
   fused epilogue writes the final batch bytes straight into a pooled
-  buffer (:class:`BatchLease`); the lease travels through the
+  buffer (:class:`BatchLease`); that one lease travels through the
   prefetcher's ready queue, across the socket, or into the trainer's
-  hands, and the buffer returns to the pool when the last holder
+  hands (``source.get_batch_lease(...)`` is the in-process API: the
+  trainer borrows the leased buffer directly, ~0 bytes copied per
+  batch), and the buffer returns to the pool when the last holder
   releases it (client ACK, disconnect, or an explicit ``release``).
   ``detach`` removes a buffer from the pool permanently — the
   backward-compatible ``get_batch`` path hands the trainer an owned
   array that way, with zero extra copies and zero reuse hazards.
+  Whoever must learn that the buffer left the lease (the coordinator's
+  admission ticket) hangs one ``on_release`` hook on it.
 * :class:`AsyncBatchServer` — an asyncio front end serving ``get_batch``
   to many concurrent trainer connections over a Unix-domain or TCP
   socket, speaking :mod:`repro.core.wire`.  Batch bytes go out as a
@@ -23,10 +27,9 @@ decode → prefetch → delivery):
   each connection's lease until the client ACKs (or sends its next
   request, or disconnects), so a buffer is never recycled while its
   bytes are still in flight.
-* :class:`LocalClient` / :class:`BatchSocketClient` — the in-process
-  trainer handle (borrows the leased buffer directly: ~0 bytes copied
-  per batch) and the synchronous remote client (receives into one
-  buffer, decodes the array as a zero-copy ``np.frombuffer`` view).
+* :class:`BatchSocketClient` — the synchronous remote client (receives
+  into one buffer, decodes the array as a zero-copy ``np.frombuffer``
+  view).
 
 Backpressure rules: the pool never blocks ``acquire`` (assembly pace is
 bounded upstream by the prefetcher's depth and the engine's
@@ -65,6 +68,9 @@ Address = Union[str, Tuple[str, int]]
 # bug and must surface as such.
 _RETRYABLE = (TransientStorageError, TransientDecodeError)
 
+# Recycled buffers a pool keeps per (shape, dtype).
+MAX_FREE_PER_SHAPE = 8
+
 
 class DataPlaneError(RuntimeError):
     """Misuse of the data plane (lease lifecycle, bad requests)."""
@@ -93,15 +99,20 @@ class BatchLease:
     pool's free list when the count hits zero.  :meth:`detach`
     permanently removes the buffer from the pool (the owned-array
     compatibility path); after a detach, releases are no-ops.
+
+    ``on_release``, when set, is called exactly once, outside the pool
+    lock, when the buffer leaves the lease: on the last ``release`` or
+    on ``detach``, whichever happens.
     """
 
-    __slots__ = ("_pool", "array", "_refs", "_detached")
+    __slots__ = ("_pool", "array", "_refs", "_detached", "on_release")
 
     def __init__(self, pool: "BufferPool", array: np.ndarray):
         self._pool = pool
         self.array = array
         self._refs = 1
         self._detached = False
+        self.on_release: Optional[Callable[[], None]] = None
 
     @property
     def nbytes(self) -> int:
@@ -124,6 +135,7 @@ class BatchLease:
             last = self._refs == 0 and not self._detached
         if last:
             pool._reclaim(self.array)
+            self._left()
 
     def detach(self) -> np.ndarray:
         """Take the buffer out of the pool for good and return it."""
@@ -136,7 +148,14 @@ class BatchLease:
             self._detached = True
             pool._outstanding -= 1
             pool._detached_count += 1
+        self._left()
         return self.array
+
+    def _left(self) -> None:
+        # Reached once per lease: by the release that took the count to
+        # zero, or by the one detach that flipped the flag, never both.
+        if self.on_release is not None:
+            self.on_release()
 
     def __enter__(self) -> "BatchLease":
         return self
@@ -157,9 +176,8 @@ class BufferPool:
     physical allocation vs. reuse lives in :meth:`report` instead.
     """
 
-    def __init__(self, name: str = "delivery", max_free_per_shape: int = 8):
+    def __init__(self, name: str = "delivery"):
         self.name = name
-        self.max_free_per_shape = int(max_free_per_shape)
         self._lock = make_lock(f"dataplane.pool.{name}")
         self._free: Dict[Tuple[Tuple[int, ...], str], List[np.ndarray]] = {}
         self._outstanding = 0
@@ -168,7 +186,6 @@ class BufferPool:
         self._reuses = 0
         self._returned = 0
         self._detached_count = 0
-        self._adopted = 0
         self._wait_ns = 0
 
     def acquire(self, shape: Tuple[int, ...], dtype: Any) -> BatchLease:
@@ -191,14 +208,6 @@ class BufferPool:
             self._wait_ns += elapsed
         return BatchLease(self, array)
 
-    def adopt(self, array: np.ndarray) -> BatchLease:
-        """Wrap a foreign array in a lease (it joins the pool on release)."""
-        with self._lock:
-            self._issued += 1
-            self._outstanding += 1
-            self._adopted += 1
-        return BatchLease(self, np.ascontiguousarray(array))
-
     def _reclaim(self, array: np.ndarray) -> None:
         sanitizer = buffer_sanitizer()
         if sanitizer is not None:
@@ -211,7 +220,7 @@ class BufferPool:
             self._outstanding -= 1
             self._returned += 1
             stack = self._free.setdefault(key, [])
-            if len(stack) < self.max_free_per_shape:
+            if len(stack) < MAX_FREE_PER_SHAPE:
                 stack.append(array)
 
     @property
@@ -230,7 +239,6 @@ class BufferPool:
                 "buffers_reused": self._reuses,
                 "buffers_returned": self._returned,
                 "buffers_detached": self._detached_count,
-                "buffers_adopted": self._adopted,
                 "free_buffers": free,
             }
 
@@ -247,59 +255,6 @@ class BufferPool:
                 f"buffer-pool leak: {outstanding} delivery lease(s) from "
                 f"pool {self.name!r} never released or detached"
             )
-
-
-# -- in-process client -------------------------------------------------------
-
-
-class LeasedBatch:
-    """What :class:`LocalClient` hands the trainer: array + metadata +
-    the lease keeping the pooled buffer alive.  Release when consumed
-    (context-manager form releases automatically)."""
-
-    __slots__ = ("lease", "metadata")
-
-    def __init__(self, lease: BatchLease, metadata: Dict[str, Any]):
-        self.lease = lease
-        self.metadata = metadata
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.lease.array
-
-    @property
-    def nbytes(self) -> int:
-        return self.lease.nbytes
-
-    def release(self) -> None:
-        self.lease.release()
-
-    def __enter__(self) -> "LeasedBatch":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.release()
-
-
-class LocalClient:
-    """The zero-copy in-process trainer handle.
-
-    Wraps any source exposing ``get_batch_lease`` (engine or service);
-    the trainer reads the batch directly out of the pooled delivery
-    buffer — bytes copied at the trainer boundary: 0.
-    """
-
-    def __init__(self, source: Any):
-        if not hasattr(source, "get_batch_lease"):
-            raise TypeError(
-                f"{type(source).__name__} does not expose get_batch_lease; "
-                "LocalClient needs a lease-aware batch source"
-            )
-        self._source = source
-
-    def get_batch(self, task: str, epoch: int, iteration: int) -> LeasedBatch:
-        lease, metadata = self._source.get_batch_lease(task, epoch, iteration)
-        return LeasedBatch(lease, metadata)
 
 
 # -- async server ------------------------------------------------------------
@@ -333,7 +288,7 @@ class AsyncBatchServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_payload: int = wire.DEFAULT_MAX_PAYLOAD,
-        executor_workers: Optional[int] = None,
+        executor_workers: int = 8,
     ):
         if not hasattr(source, "get_batch_lease"):
             raise TypeError(
@@ -344,8 +299,6 @@ class AsyncBatchServer:
         self._host = host
         self._port = int(port)
         self._max_payload = int(max_payload)
-        if executor_workers is None:
-            executor_workers = int(os.environ.get("SAND_DATAPLANE_WORKERS", "8"))
         if executor_workers < 1:
             raise ValueError(f"executor_workers must be >= 1, got {executor_workers}")
         self._executor_workers = int(executor_workers)

@@ -40,7 +40,6 @@ from repro.core.prefetch import BatchPrefetcher, PrefetchStats
 from repro.core.pruning import PruningOutcome
 from repro.core.scheduling import (
     MaterializationScheduler,
-    SchedulingMode,
     WorkClass,
     WorkGate,
     build_jobs,
@@ -144,11 +143,8 @@ class PreprocessingEngine:
         cache: Optional[CacheManager] = None,
         num_workers: int = 2,
         memory_budget_bytes: int = 512 * 1024 * 1024,
-        memory_threshold: float = 0.8,
-        scheduling_mode: SchedulingMode = SchedulingMode.DEADLINE,
         registry: Optional[OpRegistry] = None,
         anchor_cache: Optional[AnchorCache] = None,
-        anchor_cache_budget_bytes: int = DEFAULT_ANCHOR_CACHE_BYTES,
         fault_schedule=None,
         retry_policy: Optional[RetryPolicy] = None,
         fusion_enabled: bool = True,
@@ -174,9 +170,11 @@ class PreprocessingEngine:
         self.fusion_enabled = fusion_enabled
         self.seed = int(seed)
         # Traffic charged by the engine itself (batch-buffer allocation
-        # and writes); materializer ledgers are added on aggregation.
+        # and writes); materializer ledgers are added when stats are read.
         self._engine_traffic = TrafficLedger()
-        self.stats = EngineStats()
+        # The engine bumps counters here; readers go through ``stats``,
+        # which folds the derived fields in first.
+        self._stats = EngineStats()
         # Delivery buffers: batches are assembled straight into pooled,
         # reference-counted leases (shared across engines when a service
         # passes one pool in).  Logical ledger charges are unchanged by
@@ -213,7 +211,7 @@ class PreprocessingEngine:
         self.anchor_cache = (
             anchor_cache
             if anchor_cache is not None
-            else AnchorCache(anchor_cache_budget_bytes)
+            else AnchorCache(DEFAULT_ANCHOR_CACHE_BYTES)
         )
         self.reuse_threshold = reuse_threshold
         self.clairvoyant_cache = clairvoyant_cache
@@ -242,8 +240,6 @@ class PreprocessingEngine:
         self.scheduler = MaterializationScheduler(
             build_jobs(plan, pruning),
             memory_fraction=self._memory_fraction,
-            memory_threshold=memory_threshold,
-            mode=scheduling_mode,
         )
         self._num_workers = num_workers
         self._threads: List[threading.Thread] = []
@@ -280,9 +276,10 @@ class PreprocessingEngine:
             self._prefetcher.start()
 
     def stop(self) -> None:
-        """Signal and join workers.  Idempotent and exception-safe:
-        calling it twice, or after a worker thread died from an
-        exception, neither hangs nor double-joins."""
+        """Signal and join workers, then fold the stats so a stopped (or
+        rolled-away) engine's held stats object is final.  Idempotent and
+        exception-safe: calling it twice, or after a worker thread died
+        from an exception, neither hangs nor double-joins."""
         self._stop.set()
         if self._prefetcher is not None:
             self._prefetcher.stop()
@@ -307,7 +304,8 @@ class PreprocessingEngine:
             # instead, after every engine has stopped.
             if self._owns_pool:
                 self.delivery_pool.note_leaks(held=self.prefetch_queue_depth())
-            self.stats.sanitizer = collect_report()
+            self._stats.sanitizer = collect_report()
+        self._fold_stats()
 
     def rescope(self, owns: Optional[Callable[[BatchAssembly], bool]]) -> None:
         """Confine background work to the batches ``owns`` accepts.
@@ -401,35 +399,22 @@ class PreprocessingEngine:
         The returned array is the pooled delivery buffer, *detached*
         from the pool: the caller owns it outright (the historical
         contract), with zero extra copies and no reuse hazard.  Callers
-        that can release promptly should prefer :meth:`get_batch_lease`
-        (or :class:`~repro.core.dataplane.LocalClient`), which keeps the
-        buffer recyclable.
+        that can release promptly should prefer :meth:`get_batch_lease`,
+        which keeps the buffer recyclable.
         """
-        payload, metadata = self._serve_payload(task, epoch, iteration)
-        batch = payload.detach() if isinstance(payload, BatchLease) else payload
-        return batch, metadata
+        lease, metadata = self.get_batch_lease(task, epoch, iteration)
+        return lease.detach(), metadata
 
     def get_batch_lease(
         self, task: str, epoch: int, iteration: int
     ) -> Tuple[BatchLease, Dict]:
-        """``get_batch`` lending the pooled delivery buffer instead.
+        """The demand path — prefetch hand-off or synchronous assembly —
+        lending the pooled delivery buffer.
 
         The caller must ``release()`` the lease when the batch is
         consumed (the async server does so on client ACK/disconnect);
         the buffer then re-enters the pool for the next assembly.
         """
-        payload, metadata = self._serve_payload(task, epoch, iteration)
-        if not isinstance(payload, BatchLease):
-            # A foreign prefetch source handed us an owned array: wrap
-            # it so the lease contract holds either way.
-            payload = self.delivery_pool.adopt(np.asarray(payload))
-        return payload, metadata
-
-    def _serve_payload(
-        self, task: str, epoch: int, iteration: int
-    ) -> Tuple[object, Dict]:
-        """The shared demand path: prefetch hand-off or synchronous
-        assembly, returning the payload still leased."""
         key = (task, epoch, iteration)
         if key not in self.plan.batches:
             raise KeyError(f"no batch planned for {key}")
@@ -443,23 +428,19 @@ class PreprocessingEngine:
         # progress so next-use distances are measured from "now".
         self.anchor_cache.advance(step)
 
+        ready = None
         if self._prefetcher is not None:
             ready = self._prefetcher.take(task, epoch, iteration)
-            if ready is not None:
-                payload, metadata = ready
-                self.stats.batches_served += 1
-                self._aggregate_materializer_stats()
-                self._note_memory()
-                return payload, metadata
-
-        self._work_gate.enter(WorkClass.DEMAND)
-        try:
-            metadata = self.batch_metadata(assembly)
-            lease = self._assemble(assembly)
-        finally:
-            self._work_gate.exit(WorkClass.DEMAND)
-        self.stats.batches_served += 1
-        self._aggregate_materializer_stats()
+        if ready is not None:
+            lease, metadata = ready
+        else:
+            self._work_gate.enter(WorkClass.DEMAND)
+            try:
+                metadata = self.batch_metadata(assembly)
+                lease = self._assemble(assembly)
+            finally:
+                self._work_gate.exit(WorkClass.DEMAND)
+        self._stats.batches_served += 1
         self._note_memory()
         return lease, metadata
 
@@ -554,14 +535,13 @@ class PreprocessingEngine:
 
     def dataplane_report(self) -> Dict:
         """The delivery-path block of ``traffic_report()`` (fresh)."""
-        self._aggregate_materializer_stats()
         return dict(self.stats.dataplane)
 
     def _count_demand(self, materializer: VideoMaterializer, key: str) -> None:
         if not materializer.in_memory(key) and (
             self.cache is None or key not in self.cache
         ):
-            self.stats.demand_materializations += 1
+            self._stats.demand_materializations += 1
 
     def _assemble_fused(self, assembly: BatchAssembly) -> BatchLease:
         """Collate into one pooled delivery buffer (copy elision).
@@ -627,7 +607,7 @@ class PreprocessingEngine:
         """
 
         def note(_exc: BaseException, _attempt: int) -> None:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            setattr(self._stats, counter, getattr(self._stats, counter) + 1)
 
         return call_with_retries(
             fn, self.retry_policy, _RETRYABLE, self._jitter_rng(), note
@@ -688,15 +668,14 @@ class PreprocessingEngine:
             if self.fault_schedule is not None and self.fault_schedule.should_crash_job(
                 job_index
             ):
-                self.stats.worker_crashes += 1
+                self._stats.worker_crashes += 1
                 raise InjectedWorkerCrash(
                     f"injected crash at job #{job_index} ({job.video_id})"
                 )
             materializer = self._materializer(job.video_id)
             self._materialize_job(job.video_id, materializer, sorted(job.frontier))
             released = materializer.release_raw_frames()
-            self.stats.raw_frame_releases += released
-            self._aggregate_materializer_stats()
+            self._stats.raw_frame_releases += released
             self._note_memory()
             self._maybe_trim_memory()
             return True
@@ -724,13 +703,13 @@ class PreprocessingEngine:
                 if self._stop.is_set():
                     return
                 done += materializer.prematerialize(node_key)
-            self.stats.pre_materializations += done
-            self.stats.consumed_skipped += len(frontier) - done
+            self._stats.pre_materializations += done
+            self._stats.consumed_skipped += len(frontier) - done
 
         try:
             self._retry(run, "job_retries")
         except _RETRYABLE as exc:
-            self.stats.dead_letters.append(
+            self._stats.dead_letters.append(
                 DeadLetterRecord(
                     video_id=video_id,
                     attempts=self.retry_policy.max_retries + 1,
@@ -760,66 +739,66 @@ class PreprocessingEngine:
                 )
             return self._materializers[video_id]
 
-    def _aggregate_materializer_stats(self) -> None:
-        """Roll per-materializer counters up into the engine's stats."""
+    @property
+    def stats(self) -> EngineStats:
+        """This engine's one :class:`EngineStats` (the same object every
+        time), with the derived fields folded in as of now."""
+        self._fold_stats()
+        return self._stats
+
+    def _fold_stats(self) -> None:
+        """Roll materializer, store, prefetch and delivery counters up
+        into the stats object.  Runs when stats are read and when the
+        engine stops — never on the serving path."""
+        stats = self._stats
         with self._mat_lock:
             materializers = list(self._materializers.values())
-        self.stats.frames_decoded = sum(m.stats.frames_decoded for m in materializers)
-        self.stats.frames_reused_from_anchor_cache = sum(
+        stats.frames_decoded = sum(m.stats.frames_decoded for m in materializers)
+        stats.frames_reused_from_anchor_cache = sum(
             m.stats.frames_reused_from_anchor_cache for m in materializers
         )
-        self.stats.frames_skipped_near_duplicate = sum(
+        stats.frames_skipped_near_duplicate = sum(
             m.stats.frames_skipped_near_duplicate for m in materializers
         )
-        self.stats.anchor_cache = self.anchor_cache.report()
-        self.stats.fallback_rematerializations = sum(
+        stats.anchor_cache = self.anchor_cache.report()
+        stats.fallback_rematerializations = sum(
             m.stats.fallback_rematerializations for m in materializers
         )
-        self.stats.transient_storage_errors = sum(
+        stats.transient_storage_errors = sum(
             m.stats.transient_errors for m in materializers
         )
-        self.stats.corrupt_objects_evicted = sum(
+        stats.corrupt_objects_evicted = sum(
             m.stats.corrupt_evictions for m in materializers
         )
-        self.stats.dead_stores_elided = sum(len(m.consumed) for m in materializers)
+        stats.dead_stores_elided = sum(len(m.consumed) for m in materializers)
         traffic = TrafficLedger()
         traffic.add(self._engine_traffic)
         for m in materializers:
             traffic.add(m.stats.traffic)
-        self.stats.traffic = traffic
-        store = getattr(self.cache, "store", self.cache)
-        quarantined = getattr(store, "quarantined", None)
-        if quarantined is not None:
-            self.stats.quarantined_keys = list(quarantined)
-        # Storage-layer retries/dead-letters and tier transitions were a
-        # ledger blind spot: they happen inside RemoteStore/TieredStore,
-        # below the materializer's counters.  Pull them up here.
-        reporter = getattr(store, "storage_failure_report", None)
-        if reporter is not None:
-            self.stats.storage = dict(reporter())
-        else:
-            retries = getattr(store, "retries", None)
-            dead = getattr(store, "dead_letters", None)
-            if retries is not None or dead is not None:
-                self.stats.storage = {
-                    "remote_retries": int(retries or 0),
-                    "remote_dead_letters": int(dead or 0),
-                }
+        stats.traffic = traffic
+        if self.cache is not None:
+            store = self.cache.store
+            stats.quarantined_keys = list(store.quarantined)
+            # Storage-layer retries/dead-letters and tier transitions
+            # happen inside the tiered store, below the materializer's
+            # counters.  Pull them up here.
+            reporter = getattr(store, "storage_failure_report", None)
+            if reporter is not None:
+                stats.storage = dict(reporter())
         if self._prefetcher is not None:
-            self.stats.prefetch = self._prefetcher.stats.snapshot()
-        served = self.stats.batches_served
+            stats.prefetch = self._prefetcher.stats.snapshot()
+        served = stats.batches_served
         with self._delivery_lock:
             sends = self._delivery_sends
             send_bytes = self._delivery_send_bytes
             direct = self._slot_writes_direct
             fallback = self._slot_writes_copied
-        delivered_bytes = self.stats.traffic.delivery_bytes_copied
-        self.stats.dataplane = {
+        stats.dataplane = {
             "sends": sends,
             "send_bytes": send_bytes,
-            "delivery_passes": self.stats.traffic.delivery_passes,
+            "delivery_passes": traffic.delivery_passes,
             "bytes_copied_per_batch": (
-                round(delivered_bytes / served, 2) if served else 0.0
+                round(traffic.delivery_bytes_copied / served, 2) if served else 0.0
             ),
             "slot_writes_direct": direct,
             "slot_writes_copied": fallback,
@@ -830,8 +809,8 @@ class PreprocessingEngine:
         """Snapshot sanitizer findings now (None when sanitizers are off)."""
         if not sanitizers_enabled():
             return None
-        self.stats.sanitizer = collect_report()
-        return self.stats.sanitizer
+        self._stats.sanitizer = collect_report()
+        return self._stats.sanitizer
 
     def _current_step(self) -> int:
         with self._progress_lock:
@@ -853,8 +832,8 @@ class PreprocessingEngine:
 
     def _note_memory(self) -> None:
         current = self.memory_bytes()
-        if current > self.stats.peak_memory_bytes:
-            self.stats.peak_memory_bytes = current
+        if current > self._stats.peak_memory_bytes:
+            self._stats.peak_memory_bytes = current
 
     def _maybe_trim_memory(self) -> None:
         """Over budget: drop memoized arrays that are safely in the cache."""

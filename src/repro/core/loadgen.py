@@ -1,9 +1,9 @@
 """The standing "millions of users" load generator.
 
-Drives fleets of synthetic trainers against any lease-aware batch
-source — a single :class:`~repro.core.service.SandService` or the
-sharded :class:`~repro.core.sharding.ShardCoordinator` — and reports
-the latency distribution every later PR is judged against.
+Drives fleets of synthetic trainers against a tenant-aware batch source
+(``get_batch_lease(task, epoch, iteration, tenant=...)``: the sharded
+:class:`~repro.core.sharding.ShardCoordinator`, with one shard or many)
+and reports the latency distribution every later PR is judged against.
 
 Each synthetic trainer models one GPU consumer: it requests its task's
 batches in order, holds each delivery lease for a simulated GPU step
@@ -18,15 +18,12 @@ scheduling decision), hence the wall-clock lint pragmas.
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.locks import make_lock
-
-DEFAULT_TENANT = "default"
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -84,7 +81,7 @@ def make_fleet(
 
 
 class LoadGenerator:
-    """Run a trainer fleet against a lease-aware batch source."""
+    """Run a trainer fleet against a tenant-aware batch source."""
 
     def __init__(self, source: Any, trainers: Sequence[TrainerSpec]):
         if not hasattr(source, "get_batch_lease"):
@@ -95,10 +92,6 @@ class LoadGenerator:
             raise ValueError("need at least one trainer spec")
         self._source = source
         self._trainers = list(trainers)
-        # Multi-tenant sources take a tenant keyword; plain services
-        # don't — detect once so the fleet drives either unchanged.
-        params = inspect.signature(source.get_batch_lease).parameters
-        self._tenant_aware = "tenant" in params
         self._lock = make_lock("loadgen.results")
         self._latencies: Dict[str, List[float]] = {}
         self._batches: Dict[str, int] = {}
@@ -117,14 +110,9 @@ class LoadGenerator:
             for epoch in range(spec.start_epoch, spec.start_epoch + spec.epochs):
                 for iteration in range(self._iterations_for(spec, epoch)):
                     started = time.perf_counter()  # sandlint: ignore[wall-clock]
-                    if self._tenant_aware:
-                        lease, _meta = self._source.get_batch_lease(
-                            spec.task, epoch, iteration, tenant=spec.tenant
-                        )
-                    else:
-                        lease, _meta = self._source.get_batch_lease(
-                            spec.task, epoch, iteration
-                        )
+                    lease, _meta = self._source.get_batch_lease(
+                        spec.task, epoch, iteration, tenant=spec.tenant
+                    )
                     latency = time.perf_counter() - started  # sandlint: ignore[wall-clock]
                     try:
                         latencies.append(latency)

@@ -308,12 +308,11 @@ class VideoMaterializer:
         """
         if self.cache is None or key not in self.cache:
             return None
-        # Prefer the store's zero-copy read (packed segments serve a
+        # The store's zero-copy read (packed segments serve a
         # memoryview over the segment mmap): the blob decompresses
         # straight out of the page cache with no intermediate copy.
-        reader = getattr(self.cache, "get_view", None)
         try:
-            blob = reader(key) if reader is not None else self.cache.get(key)
+            blob = self.cache.get_view(key)
         except CorruptObjectError:
             # The store quarantined the key; recompute from source.
             self.stats.corrupt_evictions += 1
@@ -406,30 +405,32 @@ class VideoMaterializer:
         else:
             self.stats.traffic.charge(result.nbytes)
 
-    def _fusable_above(self, key: str) -> bool:
-        """May the aug node at ``key`` be computed transiently (skipped)?
+    def _single_use_aug(self, key: str) -> bool:
+        """Is ``key`` a single-use aug node nothing else will read?
 
-        A chain ancestor folds into its descendant's fused plan only if
-        nothing else will ever want it materialized: it must not be
-        memoized or persisted already, not on the caching frontier, and
-        not shared with any other path (``ref_count > 1``).  Breaking
-        the chain at those nodes keeps caching/pruning decisions — and
-        the concrete graph's node-merge keys — exactly as they were.
+        Only such a node may go unmaterialized — folded into its
+        descendant's fused plan, computed straight into a clip slot, or
+        skipped for a near-duplicate neighbor: it must not be memoized
+        or persisted already, not on the caching frontier, and not
+        shared with any other path (``ref_count > 1``).  Everything else
+        materializes normally, which keeps caching/pruning decisions —
+        and the concrete graph's node-merge keys — exactly as they were.
         """
         node = self.graph.nodes.get(key)
-        if node is None or node.kind != "aug":
-            return False
-        if key in self._memo or key in self.frontier or node.ref_count > 1:
-            return False
-        if self.cache is not None and key in self.cache:
-            return False
-        return True
+        return (
+            node is not None
+            and node.kind == "aug"
+            and node.ref_count <= 1
+            and key not in self._memo
+            and key not in self.frontier
+            and (self.cache is None or key not in self.cache)
+        )
 
     def _fused_chain(self, node: ObjectNode) -> Tuple[List[ObjectNode], str]:
         """Longest skip-safe aug chain ending at ``node`` + its base key."""
         chain = [node]
         parent_key = node.parents[0]
-        while self._fusable_above(parent_key):
+        while self._single_use_aug(parent_key):
             parent = self.graph.nodes[parent_key]
             chain.append(parent)
             parent_key = parent.parents[0]
@@ -473,7 +474,7 @@ class VideoMaterializer:
             if (
                 identity is not None
                 and identity == prev_identity
-                and self._slot_reuse_allowed(parent_key)
+                and self._single_use_aug(parent_key)
             ):
                 # Near-duplicate slot reuse: this parent's chain produces
                 # byte-identical output to the previous slot (same
@@ -557,24 +558,6 @@ class VideoMaterializer:
             node = self.graph.nodes.get(node.parents[0])
         return tuple(reversed(ops)), node
 
-    def _slot_reuse_allowed(self, key: str) -> bool:
-        """May this parent's materialization be skipped entirely?
-
-        Mirrors the ``_materialize_parent_into`` fast-path conditions:
-        only a single-use aug node that nothing else will read (not
-        memoized, not frontier-bound, not persisted) can go unmaterialized
-        without changing caching or sharing behavior.
-        """
-        node = self.graph.nodes.get(key)
-        return (
-            node is not None
-            and node.kind == "aug"
-            and node.ref_count <= 1
-            and key not in self._memo
-            and key not in self.frontier
-            and (self.cache is None or key not in self.cache)
-        )
-
     def _materialize_parent_into(self, key: str, slot: np.ndarray) -> None:
         """Write one collation parent into its slot of the clip buffer.
 
@@ -582,16 +565,8 @@ class VideoMaterializer:
         their fused plan (the pointwise epilogue writes there); anything
         memoized, cached, or shared materializes normally and copies.
         """
-        node = self.graph.nodes.get(key)
-        if (
-            node is not None
-            and node.kind == "aug"
-            and node.ref_count <= 1
-            and key not in self._memo
-            and key not in self.frontier
-            and (self.cache is None or key not in self.cache)
-        ):
-            chain, base_key = self._fused_chain(node)
+        if self._single_use_aug(key):
+            chain, base_key = self._fused_chain(self.graph.nodes[key])
             base = self._get_locked(base_key)
             plan = plan_for(
                 self.registry, tuple(n.op_args for n in chain), base.shape

@@ -53,6 +53,11 @@ from repro.analysis.locks import make_lock
 
 BatchKey = Tuple[int, int]  # (epoch, iteration)
 
+# An idle worker's re-check period, and how long ``take`` waits for the
+# exact batch it wants while a worker is still assembling it.
+POLL_INTERVAL_S = 0.001
+WAIT_TIMEOUT_S = 60.0
+
 
 class PrefetchSource:
     """What the prefetcher needs from the engine (structural protocol).
@@ -168,8 +173,6 @@ class BatchPrefetcher:
         source: PrefetchSource,
         depth: int = 2,
         workers: int = 1,
-        poll_interval_s: float = 0.001,
-        wait_timeout_s: float = 60.0,
     ) -> None:
         if depth <= 0:
             raise ValueError(f"depth must be positive, got {depth}")
@@ -178,8 +181,6 @@ class BatchPrefetcher:
         self.source = source
         self.depth = int(depth)
         self.num_workers = int(workers)
-        self.poll_interval_s = float(poll_interval_s)
-        self.wait_timeout_s = float(wait_timeout_s)
         self.stats = PrefetchStats()
         self._lock = make_lock("engine.prefetch")
         self._tasks: Dict[str, _TaskState] = {}
@@ -315,7 +316,7 @@ class BatchPrefetcher:
         # clock measures how much of the assembly the trainer still
         # absorbed (observability only).
         waited_from = time.perf_counter_ns()  # sandlint: ignore[wall-clock]
-        finished = event.wait(self.wait_timeout_s)
+        finished = event.wait(WAIT_TIMEOUT_S)
         waited_ns = time.perf_counter_ns() - waited_from  # sandlint: ignore[wall-clock]
         with self._lock:
             state.waiting.discard(pos)
@@ -349,7 +350,7 @@ class BatchPrefetcher:
         while not self._stop.is_set():
             claim = self._claim()
             if claim is None:
-                if self._stop.wait(timeout=self.poll_interval_s):
+                if self._stop.wait(timeout=POLL_INTERVAL_S):
                     return
                 continue
             task, state, pos, (epoch, iteration), event = claim

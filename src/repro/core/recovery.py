@@ -155,13 +155,10 @@ def recover(
     pack-segment tail records — lands in ``scan_quarantined``; any such
     key that was planned also shows up in ``missing``.
     """
-    already_quarantined = len(getattr(store, "quarantined", []))
+    already_quarantined = len(store.quarantined)
     store.scan()
-    scan_quarantined = list(
-        getattr(store, "quarantined", [])[already_quarantined:]
-    )
+    scan_quarantined = list(store.quarantined[already_quarantined:])
     on_disk: Set[str] = set(store.keys())
-    verify = getattr(store, "verify", None)
     planned = 0
     recovered = 0
     missing: Dict[str, List[str]] = {}
@@ -174,7 +171,7 @@ def recover(
             planned_keys.add(key)
             if key not in on_disk:
                 lost.append(key)
-            elif verify is not None and not verify(key):
+            elif not store.verify(key):
                 corrupt.append(key)
                 lost.append(key)
             else:

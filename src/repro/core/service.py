@@ -68,7 +68,6 @@ from repro.core.recovery import (
     recover,
     write_checkpoint,
 )
-from repro.core.scheduling import SchedulingMode
 from repro.core.views import (
     AugFrameView,
     BatchView,
@@ -90,7 +89,7 @@ from repro.vfs.provider import FileHandle, FileSystemProvider, NodeInfo
 
 CTRL_NAME = "ctrl"
 
-PlannedWindow = Tuple[MaterializationPlan, Optional[PruningOutcome]]
+PlannedWindow = Tuple[MaterializationPlan, PruningOutcome]
 
 
 class PlanCache:
@@ -180,12 +179,9 @@ class SandService(FileSystemProvider):
         num_workers: int = 2,
         seed: int = 0,
         coordinated: bool = True,
-        prune: bool = True,
-        scheduling_mode: SchedulingMode = SchedulingMode.DEADLINE,
         registry: Optional[OpRegistry] = None,
         store: Optional[LocalStore] = None,
         remote_store=None,
-        replication: int = 2,
         memory_budget_bytes: int = 512 * 1024 * 1024,
         fault_schedule=None,
         retry_policy=None,
@@ -199,8 +195,6 @@ class SandService(FileSystemProvider):
         self.k_epochs = k_epochs
         self.seed = seed
         self.coordinated = coordinated
-        self.prune = prune
-        self.scheduling_mode = scheduling_mode
         self.registry = registry
         self.num_workers = num_workers
         self.memory_budget_bytes = memory_budget_bytes
@@ -239,14 +233,11 @@ class SandService(FileSystemProvider):
         base_store = store if store is not None else LocalStore(storage_budget_bytes)
         if remote_store is not None:
             # Tiered deployment: the remote tier replicates hot objects
-            # (k=2 by default) and absorbs demoted warm/cold spillover,
+            # (k=2) and absorbs demoted warm/cold spillover,
             # so byte pressure demotes instead of deleting and blob loss
             # recovers by copy instead of recompute.
             self.store = TieredStore(
-                base_store,
-                remote_store,
-                replication=replication,
-                fault_schedule=fault_schedule,
+                base_store, remote_store, fault_schedule=fault_schedule
             )
         else:
             self.store = base_store
@@ -367,7 +358,7 @@ class SandService(FileSystemProvider):
     def _planned(
         self, group: _Group, epoch_start: int, ahead: bool = False
     ) -> PlannedWindow:
-        budget = self.store.capacity_bytes if self.prune else None
+        budget = self.store.capacity_bytes
 
         def build() -> PlannedWindow:
             plan = build_plan_window(
@@ -378,7 +369,7 @@ class SandService(FileSystemProvider):
                 seed=self.seed,
                 coordinated=self.coordinated,
             )
-            return plan, (prune_plan(plan, budget) if budget is not None else None)
+            return plan, prune_plan(plan, budget)
 
         key = (
             group.path,
@@ -426,7 +417,6 @@ class SandService(FileSystemProvider):
             cache=self.cache,
             num_workers=self.num_workers,
             memory_budget_bytes=self.memory_budget_bytes,
-            scheduling_mode=self.scheduling_mode,
             registry=self.registry,
             anchor_cache=self.anchor_cache,
             fault_schedule=self.fault_schedule,
@@ -472,16 +462,7 @@ class SandService(FileSystemProvider):
         single-tier health).  JSON-serializable throughout.
         """
         with self._window_lock:
-            health = getattr(self.store, "health", None)
-            storage: Dict = (
-                health()
-                if health is not None
-                else {
-                    "capacity_bytes": self.store.capacity_bytes,
-                    "used_bytes": self.store.used_bytes,
-                    "objects": len(self.store),
-                }
-            )
+            storage: Dict = self.store.health()
             engines: Dict[str, Dict] = {}
             for path, group in self._groups.items():
                 if group.engine is None:
@@ -526,16 +507,14 @@ class SandService(FileSystemProvider):
         Re-replicates under-replicated keys (tiered stores) and
         compacts tombstoned pack segments; safe to call any time the
         caller is not concurrently mutating the store from another
-        thread, and a no-op for stores without those capabilities.
+        thread; single-tier stores have nothing to re-replicate.
         """
         with self._window_lock:
             report: Dict = {}
             repairer = getattr(self.store, "repair_scan", None)
             if repairer is not None:
                 report["repair"] = repairer()
-            compactor = getattr(self.store, "compact_packs", None)
-            if compactor is not None:
-                report["compaction"] = compactor()
+            report["compaction"] = self.store.compact_packs()
             return report
 
     # -- fault tolerance (S5.5) -------------------------------------------------
@@ -581,9 +560,9 @@ class SandService(FileSystemProvider):
     ) -> Tuple[BatchLease, Dict]:
         """``batch`` lending the pooled delivery buffer (zero-copy path).
 
-        Used by :class:`~repro.core.dataplane.LocalClient` and
-        :class:`~repro.core.dataplane.AsyncBatchServer`; the caller
-        releases the lease once the batch is consumed.
+        The in-process trainer API, and what
+        :class:`~repro.core.dataplane.AsyncBatchServer` serves from; the
+        caller releases the lease once the batch is consumed.
         """
         engine = self.ensure_window(epoch, task=task)
         return engine.get_batch_lease(task, epoch, iteration)

@@ -28,10 +28,10 @@ buys three things cheaply:
 
 Multi-tenancy rides on :mod:`repro.core.tenancy`: every request passes
 the tenant-fair :class:`~repro.core.tenancy.AdmissionController` (quota
-ceilings + weighted-deficit ordering) and brackets a per-tenant
-:class:`~repro.core.tenancy.TenantWorkGate` demand entry, and the
-admission ticket is held for the whole delivery (released when the
-batch lease is).
+ceilings + weighted-deficit ordering), and the admission ticket is held
+for the whole delivery: the coordinator hangs ``ticket.release`` on the
+shard's :class:`~repro.core.dataplane.BatchLease` (``on_release``), so
+the tenant's slot frees exactly when the delivery buffer does.
 
 The coordinator is itself a lease-aware batch source *and* a
 :class:`~repro.vfs.provider.FileSystemProvider`: ``AsyncBatchServer``
@@ -60,16 +60,10 @@ from typing import (
 import numpy as np
 
 from repro.analysis.locks import make_lock
-from repro.core.concrete_graph import BatchAssembly
+from repro.core.concrete_graph import BatchAssembly, MaterializationPlan
 from repro.core.dataplane import AsyncBatchServer, BatchLease
-from repro.core.scheduling import WorkClass
 from repro.core.service import SandService
-from repro.core.tenancy import (
-    DEFAULT_TENANT,
-    AdmissionController,
-    AdmissionTicket,
-    TenantWorkGate,
-)
+from repro.core.tenancy import DEFAULT_TENANT, AdmissionController
 from repro.core.views import BatchView, try_parse_view_path
 from repro.faults.schedule import (
     SITE_COORD_PLACE,
@@ -189,63 +183,6 @@ class RebalanceReport:
         }
 
 
-# -- tenant-held leases -------------------------------------------------------
-
-
-class _TenantLease:
-    """A batch lease that releases its admission ticket with the buffer.
-
-    Duck-types :class:`~repro.core.dataplane.BatchLease` (``array``,
-    ``nbytes``, ``retain``/``release``/``detach``) so the async server
-    and :class:`~repro.core.dataplane.LocalClient` hold it unchanged;
-    the tenant's inflight slot frees exactly when the delivery buffer
-    does.
-    """
-
-    __slots__ = ("_inner", "_ticket", "_lock", "_refs")
-
-    def __init__(self, inner: BatchLease, ticket: AdmissionTicket):
-        self._inner = inner
-        self._ticket = ticket
-        self._lock = make_lock("sharding.tenant-lease")
-        self._refs = 1
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._inner.array
-
-    @property
-    def nbytes(self) -> int:
-        return self._inner.nbytes
-
-    def retain(self) -> "_TenantLease":
-        with self._lock:
-            self._refs += 1
-        self._inner.retain()
-        return self
-
-    def release(self) -> None:
-        self._inner.release()
-        with self._lock:
-            if self._refs <= 0:
-                return
-            self._refs -= 1
-            last = self._refs == 0
-        if last:
-            self._ticket.release()
-
-    def detach(self) -> np.ndarray:
-        array = self._inner.detach()
-        self._ticket.release()
-        return array
-
-    def __enter__(self) -> "_TenantLease":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.release()
-
-
 # -- the coordinator ----------------------------------------------------------
 
 Signature = Sequence[Tuple[str, str]]
@@ -277,7 +214,6 @@ class ShardCoordinator(FileSystemProvider):
     def __init__(
         self,
         shards: Union[Mapping[str, SandService], Sequence[SandService]],
-        ring_replicas: int = 64,
         admission: Optional[AdmissionController] = None,
         fault_schedule: Optional[FaultSchedule] = None,
     ):
@@ -288,9 +224,8 @@ class ShardCoordinator(FileSystemProvider):
         if not shard_map:
             raise ShardingError("need at least one shard")
         self._shards: Dict[str, SandService] = shard_map
-        self.ring = HashRing(list(shard_map), replicas=ring_replicas)
+        self.ring = HashRing(list(shard_map))
         self.admission = admission or AdmissionController()
-        self.work_gate = TenantWorkGate()
         self.fault_schedule = fault_schedule
         self._lock = make_lock("sharding.coordinator")
         # content key -> the first batch id seen with it: the views the
@@ -396,13 +331,18 @@ class ShardCoordinator(FileSystemProvider):
         """The batch's *name* (fault-site key; ring key of unplanned batches)."""
         return f"{task}/{epoch}/{iteration}"
 
-    def _assembly(self, task: str, epoch: int, iteration: int) -> Optional[BatchAssembly]:
-        """The batch's composition from the fleet's (deterministic) plan:
-        read through the shared cache, so no shard's window moves."""
+    def _plan(self, task: str, epoch: int) -> MaterializationPlan:
+        """The fleet's (deterministic) plan of the window holding
+        ``epoch``: read through the shared cache, so no shard's window
+        moves and any shard's answer is every shard's."""
         with self._lock:
             shard = next(iter(self._shards.values()))
+        return shard.window_plan(epoch, task)
+
+    def _assembly(self, task: str, epoch: int, iteration: int) -> Optional[BatchAssembly]:
+        """The batch's composition, from the fleet's plan."""
         try:
-            return shard.window_plan(epoch, task).batches.get((task, epoch, iteration))
+            return self._plan(task, epoch).batches.get((task, epoch, iteration))
         except KeyError:  # unknown task: the serving shard reports it
             return None
 
@@ -436,26 +376,23 @@ class ShardCoordinator(FileSystemProvider):
         epoch: int,
         iteration: int,
         tenant: str = DEFAULT_TENANT,
-    ) -> Tuple[_TenantLease, Dict]:
+    ) -> Tuple[BatchLease, Dict]:
         """Admit, route, and serve one batch; lease holds the quota slot."""
         ticket = self.admission.admit(tenant, nbytes=self._batch_bytes.get(task, 0))
         try:
-            self.work_gate.enter(WorkClass.DEMAND, tenant)
-            try:
-                lease, metadata = self._serve(
-                    task,
-                    epoch,
-                    iteration,
-                    lambda shard: shard.get_batch_lease(task, epoch, iteration),
-                )
-            finally:
-                self.work_gate.exit(WorkClass.DEMAND, tenant)
+            lease, metadata = self._serve(
+                task,
+                epoch,
+                iteration,
+                lambda shard: shard.get_batch_lease(task, epoch, iteration),
+            )
         except BaseException:
             ticket.release()
             raise
+        lease.on_release = ticket.release
         with self._lock:
             self._batch_bytes[task] = lease.nbytes
-        return _TenantLease(lease, ticket), metadata
+        return lease, metadata
 
     def get_batch(
         self,
@@ -508,27 +445,9 @@ class ShardCoordinator(FileSystemProvider):
         )
 
     def iterations_per_epoch(self, task: str, epoch: int = 0) -> int:
-        """Metadata query: answered from the fleet's plan by any live
-        shard, not counted as a routed batch and never rolling a window
-        (plans are identical, so every answer agrees)."""
-        with self._lock:
-            order = self.ring.preference(self.placement_key(task, epoch, 0))
-            shards = dict(self._shards)
-        last_error: Optional[BaseException] = None
-        for shard_id in order:
-            shard = shards.get(shard_id)
-            if shard is None:
-                continue
-            try:
-                self._apply_fault(SITE_SHARD_ROUTE, shard_id)
-                return shard.window_plan(epoch, task).iterations_per_epoch[task]
-            except TransientStorageError as exc:
-                last_error = exc
-                continue
-        raise AllShardsDownError(
-            f"all shard(s) failed answering iterations_per_epoch({task!r}): "
-            f"{last_error}"
-        )
+        """Metadata query: answered from the fleet's plan, not counted
+        as a routed batch and never rolling a window."""
+        return self._plan(task, epoch).iterations_per_epoch[task]
 
     def note_send(self, nbytes: int, task: Optional[str] = None) -> None:
         """Charge a socket delivery to the shard that served the task last."""
@@ -607,7 +526,6 @@ class ShardCoordinator(FileSystemProvider):
             "shards": {sid: shard.status() for sid, shard in sorted(shards.items())},
             "routing": self.routing_report(),
             "admission": self.admission.report(),
-            "work_gate": self.work_gate.snapshot(),
             "fault_fires": fire_counts,
         }
 

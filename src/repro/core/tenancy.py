@@ -1,7 +1,7 @@
-"""Multi-tenant quotas, fair admission control, and per-tenant work gating.
+"""Multi-tenant quotas and fair admission control.
 
 A sharded SAND service serves many tenants from one set of engines, so
-three policies that were implicit in the single-trainer world become
+two policies that were implicit in the single-trainer world become
 explicit here:
 
 * :class:`TenantQuota` — per-tenant ceilings: concurrently inflight
@@ -14,12 +14,6 @@ explicit here:
   waiters are FIFO.  A tenant with a tiny quota therefore still makes
   steady progress while a heavy tenant saturates its own ceiling — no
   starvation, no global FIFO convoy behind one tenant's burst.
-* :class:`TenantWorkGate` — :class:`~repro.core.scheduling.WorkGate`
-  generalized to ``(tenant, WorkClass)``: demand outranks prefetch
-  outranks pre-materialization *within* each tenant, but one tenant's
-  demand never gates another tenant's prefetch.  Priorities stay
-  claim-time-only (counters, no waits), so the gate remains trivially
-  deadlock-free.
 
 All waiting runs on a blessed condition variable from
 :mod:`repro.analysis.locks`; counters are observability inputs to the
@@ -31,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.locks import make_condition, make_lock
-from repro.core.scheduling import WorkClass
+from repro.analysis.locks import make_condition
 
 DEFAULT_TENANT = "default"
 
@@ -253,58 +246,3 @@ class AdmissionController:
                 "tenants": per_tenant,
             }
 
-
-class TenantWorkGate:
-    """Claim-time priority between work classes, scoped per tenant.
-
-    The single-tenant :class:`~repro.core.scheduling.WorkGate` contract
-    (``enter``/``exit`` never block; ``clear_above`` consults counters)
-    generalized so each tenant has an independent priority lane: tenant
-    A's prefetch defers to tenant A's demand, never to tenant B's.
-    """
-
-    def __init__(self) -> None:
-        self._lock = make_lock("tenant-work-gate")
-        self._running: Dict[Tuple[str, WorkClass], int] = {}
-
-    def enter(self, work_class: WorkClass, tenant: str = DEFAULT_TENANT) -> None:
-        with self._lock:
-            key = (tenant, work_class)
-            self._running[key] = self._running.get(key, 0) + 1
-
-    def exit(self, work_class: WorkClass, tenant: str = DEFAULT_TENANT) -> None:
-        with self._lock:
-            key = (tenant, work_class)
-            self._running[key] = max(0, self._running.get(key, 0) - 1)
-
-    def running(
-        self, work_class: WorkClass, tenant: Optional[str] = None
-    ) -> int:
-        """Running count for one tenant, or summed across all tenants."""
-        with self._lock:
-            if tenant is not None:
-                return self._running.get((tenant, work_class), 0)
-            return sum(
-                count
-                for (_t, cls), count in self._running.items()
-                if cls == work_class
-            )
-
-    def clear_above(
-        self, work_class: WorkClass, tenant: str = DEFAULT_TENANT
-    ) -> bool:
-        """True when ``tenant`` runs no higher-priority work right now."""
-        with self._lock:
-            return all(
-                self._running.get((tenant, cls), 0) == 0
-                for cls in WorkClass
-                if cls < work_class
-            )
-
-    def snapshot(self) -> Dict[str, Dict[str, int]]:
-        with self._lock:
-            out: Dict[str, Dict[str, int]] = {}
-            for (tenant, cls), count in sorted(self._running.items()):
-                if count:
-                    out.setdefault(tenant, {})[cls.name] = count
-            return out

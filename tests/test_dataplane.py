@@ -1,5 +1,5 @@
 """The async zero-copy data plane: wire framing, buffer leases, the
-event-loop batch server, and the in-process trainer handle.
+event-loop batch server, and the in-process lease path.
 
 The hard invariants:
 
@@ -14,6 +14,7 @@ The hard invariants:
 
 import io
 import struct
+import sys
 import threading
 from pathlib import Path
 
@@ -25,13 +26,11 @@ from repro.core import (
     BatchServerError,
     BatchSocketClient,
     BufferPool,
-    LocalClient,
     PreprocessingEngine,
     build_plan_window,
     load_task_config,
 )
-from repro.core import wire
-from repro.core.dataplane import LeasedBatch
+from repro.core import dataplane, wire
 from repro.datasets import DatasetSpec, SyntheticDataset
 from repro.faults import (
     SITE_ENGINE_JOB,
@@ -244,20 +243,83 @@ def test_detach_hands_ownership_out_of_the_pool():
 
 
 def test_pool_free_list_is_bounded():
-    pool = BufferPool(name="test", max_free_per_shape=2)
-    leases = [pool.acquire((8,), np.uint8) for _ in range(5)]
+    pool = BufferPool(name="test")
+    leases = [
+        pool.acquire((8,), np.uint8) for _ in range(dataplane.MAX_FREE_PER_SHAPE + 3)
+    ]
     for lease in leases:
         lease.release()
-    assert pool.report()["free_buffers"] == 2
+    assert pool.report()["free_buffers"] == dataplane.MAX_FREE_PER_SHAPE
 
 
-def test_leased_batch_context_manager_releases():
+def test_lease_context_manager_releases():
     pool = BufferPool(name="test")
-    lease = pool.acquire((4,), np.uint8)
-    with LeasedBatch(lease, {"task": "t"}) as leased:
-        assert leased.nbytes == 4
-        assert leased.metadata["task"] == "t"
+    with pool.acquire((4,), np.uint8) as lease:
+        assert lease.nbytes == 4
     assert pool.leases_outstanding == 0
+
+
+# -- the on_release hook -----------------------------------------------------
+
+
+def test_on_release_fires_once_under_retain_release_from_two_threads():
+    """Two holders release from two threads: the hook fires once, on
+    whichever release is last, and never again."""
+    pool = BufferPool(name="test")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # make the two releases actually interleave
+    try:
+        for _ in range(200):
+            fired = []
+            lease = pool.acquire((4,), np.uint8)
+            lease.on_release = lambda: fired.append(pool.leases_outstanding)
+            lease.retain()
+            start = threading.Barrier(2)
+
+            def holder():
+                start.wait(timeout=10)
+                lease.release()
+
+            threads = [threading.Thread(target=holder) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            # Fired after the buffer went back (outside the pool lock:
+            # the hook itself read the pool's counter without deadlocking).
+            assert fired == [0]
+            lease.release()  # idempotent past zero: no second firing
+            assert fired == [0]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_on_release_fires_once_on_detach_and_never_on_later_release():
+    pool = BufferPool(name="test")
+    fired = []
+    lease = pool.acquire((4,), np.uint8)
+    lease.retain()
+    lease.on_release = lambda: fired.append("left")
+    lease.detach()
+    assert fired == ["left"]
+    lease.detach()  # idempotent
+    lease.release()
+    lease.release()
+    assert fired == ["left"]
+    assert pool.leases_outstanding == 0
+
+
+def test_on_release_waits_for_the_last_holder():
+    pool = BufferPool(name="test")
+    fired = []
+    lease = pool.acquire((4,), np.uint8)
+    lease.on_release = lambda: fired.append("left")
+    lease.retain()
+    lease.release()
+    assert fired == []
+    lease.release()
+    assert fired == ["left"]
 
 
 # -- engine integration ------------------------------------------------------
@@ -276,18 +338,19 @@ def test_get_batch_still_returns_an_owned_array(dataset):
         assert engine.delivery_pool.leases_outstanding == 0
 
 
-def test_local_client_is_zero_copy_and_pool_recycles(dataset):
+def test_lease_path_is_zero_copy_and_pool_recycles(dataset):
     plan = build_plan_window([make_config()], dataset, 0, 1, seed=5)
     engine = PreprocessingEngine(plan, dataset, num_workers=0)
-    trainer = LocalClient(engine)
     with engine:
         keys = sorted(plan.batches)
-        with trainer.get_batch(*keys[0]) as leased:
-            first_buffer = leased.array
-            assert leased.array.nbytes == leased.nbytes
+        lease, _ = engine.get_batch_lease(*keys[0])
+        with lease:
+            first_buffer = lease.array
+            assert lease.array.nbytes == lease.nbytes
         # Released: the next same-shape batch reuses the same buffer.
-        with trainer.get_batch(*keys[1]) as leased:
-            assert leased.array is first_buffer
+        lease, _ = engine.get_batch_lease(*keys[1])
+        with lease:
+            assert lease.array is first_buffer
         report = engine.dataplane_report()
         assert report["buffers_reused"] >= 1
         assert report["leases_outstanding"] == 0
@@ -298,21 +361,40 @@ def test_local_client_is_zero_copy_and_pool_recycles(dataset):
     assert engine.stats.traffic.delivery_bytes_copied == 0
 
 
-def test_local_client_matches_get_batch_bytes(dataset):
+def test_lease_path_matches_get_batch_bytes(dataset):
     plan = build_plan_window([make_config()], dataset, 0, 1, seed=7)
     reference = PreprocessingEngine(plan, dataset, num_workers=0)
     engine = PreprocessingEngine(plan, dataset, num_workers=0)
-    trainer = LocalClient(engine)
     for key in sorted(plan.batches):
         expected, expected_md = reference.get_batch(*key)
-        with trainer.get_batch(*key) as leased:
-            assert np.array_equal(leased.array, expected), key
-            assert leased.metadata == expected_md, key
+        lease, metadata = engine.get_batch_lease(*key)
+        with lease:
+            assert np.array_equal(lease.array, expected), key
+            assert metadata == expected_md, key
 
 
-def test_local_client_requires_a_lease_aware_source():
-    with pytest.raises(TypeError, match="get_batch_lease"):
-        LocalClient(object())
+def test_held_stats_reference_stays_fresh(dataset):
+    """``engine.stats`` is one object per engine, folded when read: a
+    held reference sees later batches through the property, and is final
+    once the engine retires."""
+    plan = build_plan_window([make_config()], dataset, 0, 1, seed=5)
+    engine = PreprocessingEngine(plan, dataset, num_workers=0)
+    keys = sorted(plan.batches)
+    engine.get_batch(*keys[0])
+    stats = engine.stats
+    decoded, issued = stats.frames_decoded, stats.dataplane["leases_issued"]
+    assert stats.batches_served == 1 and decoded > 0 and issued == 1
+    for key in keys[1:]:
+        engine.get_batch(*key)
+    assert engine.stats is stats  # identity is stable
+    assert stats.batches_served == len(keys)
+    assert stats.frames_decoded > decoded
+    assert stats.dataplane["leases_issued"] == len(keys)
+    engine.get_batch(*keys[0])
+    engine.retire()  # folds: no property read needed after this
+    assert stats.batches_served == len(keys) + 1
+    assert stats.dataplane["leases_issued"] == len(keys) + 1
+    assert stats.dataplane["buffers_detached"] == len(keys) + 1
 
 
 # -- the async server over a unix socket -------------------------------------
@@ -412,6 +494,32 @@ def test_disconnect_without_ack_returns_the_lease(dataset, tmp_path):
 def test_server_rejects_lease_unaware_sources():
     with pytest.raises(TypeError, match="get_batch_lease"):
         AsyncBatchServer(object(), unix_path="/tmp/never-bound.sock")
+
+
+def test_tenantless_get_batch_reaches_the_source_with_three_arguments(tmp_path):
+    """A GET_BATCH frame without ``tenant`` must call a plain source as
+    ``get_batch_lease(task, epoch, iteration)`` — no fourth argument, not
+    even ``tenant=None`` — and one with a tenant must pass the keyword."""
+    pool = BufferPool(name="arity")
+    calls = []
+
+    class Source:
+        def get_batch_lease(self, *args, **kwargs):
+            calls.append((args, kwargs))
+            lease = pool.acquire((2,), np.uint8)
+            lease.array[:] = 1
+            return lease, {}
+
+    server = AsyncBatchServer(Source(), unix_path=str(tmp_path / "arity.sock"))
+    server.start_background()
+    try:
+        with BatchSocketClient(server.address) as client:
+            client.get_batch("t", 3, 4)
+            client.get_batch("t", 3, 5, tenant="acme")
+    finally:
+        server.shutdown()
+    assert calls == [(("t", 3, 4), {}), (("t", 3, 5), {"tenant": "acme"})]
+    assert pool.leases_outstanding == 0
 
 
 # -- concurrency and faults --------------------------------------------------
@@ -527,11 +635,11 @@ def test_prefetcher_ready_queue_holds_leases(dataset):
         plan, dataset, num_workers=0, seed=5,
         prefetch_depth=2, prefetch_workers=2,
     )
-    trainer = LocalClient(engine)
     with engine:
         for key in sorted(plan.batches):
-            with trainer.get_batch(*key) as leased:
-                assert leased.nbytes > 0
+            lease, _ = engine.get_batch_lease(*key)
+            with lease:
+                assert lease.nbytes > 0
     assert engine.delivery_pool.leases_outstanding == 0
     report = engine.stats.traffic_report()["dataplane"]
     assert report["leases_issued"] >= len(plan.batches)

@@ -179,7 +179,7 @@ def test_prefetch_hit_hands_over_the_assembled_batch():
 
 def test_backpressure_stops_claims_entirely():
     source = FakeSource({"t": [(0, 0), (0, 1)]}, allowed=False)
-    pf = BatchPrefetcher(source, depth=2, workers=1, poll_interval_s=0.0005)
+    pf = BatchPrefetcher(source, depth=2, workers=1)
     pf.start()
     try:
         time.sleep(0.05)
@@ -244,7 +244,7 @@ def test_skipped_batches_are_dropped_as_stale():
 def test_take_waits_for_an_inflight_assembly():
     source = FakeSource({"t": [(0, 0)]})
     source.gate = threading.Event()
-    pf = BatchPrefetcher(source, depth=1, workers=1, wait_timeout_s=5.0)
+    pf = BatchPrefetcher(source, depth=1, workers=1)
     pf.start()
     try:
         assert wait_until(lambda: len(pf._tasks["t"].inflight) == 1)

@@ -210,14 +210,13 @@ def test_engine_trims_memory_when_over_budget(dataset):
     assert len(store) > 0
 
 
-def test_fifo_scheduling_mode_via_service(dataset):
+def test_service_engines_schedule_deadline_first(dataset):
     config = load_task_config(simple_task("t"))
     service = SandService([config], dataset, storage_budget_bytes=10**8,
-                          k_epochs=1, num_workers=0,
-                          scheduling_mode=SchedulingMode.FIFO)
+                          k_epochs=1, num_workers=0)
     try:
         engine = service.ensure_window(0)
-        assert engine.scheduler.current_mode() is SchedulingMode.FIFO
+        assert engine.scheduler.current_mode() is SchedulingMode.DEADLINE
         batch, _ = service.get_batch("t", 0, 0)
         assert batch.size > 0
     finally:

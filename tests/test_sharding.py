@@ -691,7 +691,7 @@ def test_coordinator_status_is_one_report():
     try:
         coordinator.get_batch("t", 0, 0, tenant="t0")
         status = coordinator.status()
-        assert set(status) >= {"shards", "routing", "admission", "work_gate"}
+        assert set(status) == {"shards", "routing", "admission", "fault_fires"}
         assert sorted(status["shards"]) == ["shard-0", "shard-1"]
         for shard_status in status["shards"].values():
             # Satellite fix: each shard's status carries its dataplane

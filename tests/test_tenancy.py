@@ -1,4 +1,4 @@
-"""Multi-tenancy: quotas, fair admission, and per-tenant work gating.
+"""Multi-tenancy: quotas, fair admission, and quota-holding leases.
 
 The hard invariants:
 
@@ -7,8 +7,9 @@ The hard invariants:
 * admission is tenant-fair — under contention the grant order follows
   the weighted service deficit, so a starved low-quota tenant still
   makes progress while a heavy tenant saturates its own ceiling;
-* the per-tenant work gate keeps demand > prefetch ordering *within*
-  each tenant without letting one tenant's demand gate another's;
+* a tenant's admission slot is held by the delivery lease itself
+  (``BatchLease.on_release``): it frees exactly when the buffer does,
+  and a request that fails before a lease exists frees it at once;
 * all of it holds with runtime sanitizers on (lock-order monitor,
   lease-leak checks) — the multi-tenant paths introduce no inversions
   and leak nothing.
@@ -17,6 +18,7 @@ The hard invariants:
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.analysis.locks import set_sanitizers
@@ -27,10 +29,8 @@ from repro.core import (
     AdmissionTimeout,
     ShardCoordinator,
     TenantQuota,
-    TenantWorkGate,
 )
 from repro.core.loadgen import LoadGenerator, make_fleet
-from repro.core.scheduling import WorkClass
 
 from tests.test_sharding import make_shard
 
@@ -214,44 +214,67 @@ def test_fifo_within_one_tenant():
     assert order == [0, 1]
 
 
-# -- the per-tenant work gate ------------------------------------------------
+# -- the lease holds the quota slot ------------------------------------------
 
 
-def test_tenant_work_gate_orders_within_a_tenant_only():
-    gate = TenantWorkGate()
-    gate.enter(WorkClass.DEMAND, "a")
-    # Tenant a's prefetch defers to tenant a's demand...
-    assert not gate.clear_above(WorkClass.PREFETCH, "a")
-    # ...but tenant b's prefetch is unaffected by tenant a's demand.
-    assert gate.clear_above(WorkClass.PREFETCH, "b")
-    gate.exit(WorkClass.DEMAND, "a")
-    assert gate.clear_above(WorkClass.PREFETCH, "a")
+def _inflight(coordinator, tenant):
+    return coordinator.admission.report()["tenants"][tenant]["inflight"]
 
 
-def test_tenant_work_gate_priority_chain():
-    gate = TenantWorkGate()
-    gate.enter(WorkClass.PREFETCH, "a")
-    assert gate.clear_above(WorkClass.PREFETCH, "a")  # only higher classes gate
-    assert not gate.clear_above(WorkClass.PREMATERIALIZE, "a")
-    gate.enter(WorkClass.DEMAND, "a")
-    assert not gate.clear_above(WorkClass.PREFETCH, "a")
-    gate.exit(WorkClass.DEMAND, "a")
-    gate.exit(WorkClass.PREFETCH, "a")
-    assert gate.clear_above(WorkClass.PREMATERIALIZE, "a")
+def test_admission_slot_is_released_exactly_when_the_buffer_is():
+    coordinator = ShardCoordinator([make_shard()])
+    pool = coordinator.shard("shard-0").delivery_pool
+    try:
+        lease, _ = coordinator.get_batch_lease("t", 0, 0, tenant="acme")
+        assert lease.on_release is not None
+        lease.retain()  # a second holder, e.g. the socket send in flight
+        lease.release()
+        assert _inflight(coordinator, "acme") == 1  # buffer still out
+        assert pool.leases_outstanding == 1
+        lease.release()
+        assert _inflight(coordinator, "acme") == 0
+        assert pool.leases_outstanding == 0
+        lease.release()  # past zero: neither pool nor quota double-frees
+        assert _inflight(coordinator, "acme") == 0
+
+        # The owned-array path frees the slot at the detach.
+        lease, _ = coordinator.get_batch_lease("t", 0, 1, tenant="acme")
+        assert _inflight(coordinator, "acme") == 1
+        lease.detach()
+        assert _inflight(coordinator, "acme") == 0
+        lease.release()
+        assert _inflight(coordinator, "acme") == 0
+        assert coordinator.admission.report()["admitted_total"] == 2
+    finally:
+        coordinator.shutdown()
 
 
-def test_tenant_work_gate_counts_and_snapshot():
-    gate = TenantWorkGate()
-    gate.enter(WorkClass.DEMAND, "a")
-    gate.enter(WorkClass.DEMAND, "a")
-    gate.enter(WorkClass.DEMAND, "b")
-    assert gate.running(WorkClass.DEMAND, "a") == 2
-    assert gate.running(WorkClass.DEMAND) == 3  # summed across tenants
-    assert gate.snapshot() == {"a": {"DEMAND": 2}, "b": {"DEMAND": 1}}
-    gate.exit(WorkClass.DEMAND, "a")
-    gate.exit(WorkClass.DEMAND, "a")
-    gate.exit(WorkClass.DEMAND, "a")  # over-exit clamps at zero
-    assert gate.running(WorkClass.DEMAND, "a") == 0
+def test_failed_request_frees_its_slot_without_the_hook():
+    """Assembly raised before the hook was set: the hook never fires and
+    the coordinator's own ``except`` gives the ticket back."""
+    coordinator = ShardCoordinator([make_shard()])
+    shard = coordinator.shard("shard-0")
+    leases = []
+
+    def failing(task, epoch, iteration):
+        lease = shard.delivery_pool.acquire((2,), np.uint8)
+        leases.append(lease)
+        lease.release()  # what assembly does when a slot write raises
+        raise ValueError("assembly failed mid-write")
+
+    try:
+        with pytest.raises(KeyError):  # no lease was ever acquired
+            coordinator.get_batch_lease("t", 0, 10_000, tenant="acme")
+        shard.get_batch_lease = failing
+        with pytest.raises(ValueError):
+            coordinator.get_batch_lease("t", 0, 0, tenant="acme")
+        assert leases[0].on_release is None
+        report = coordinator.admission.report()
+        assert report["tenants"]["acme"]["inflight"] == 0
+        assert report["admitted_total"] == 2
+        assert shard.delivery_pool.leases_outstanding == 0
+    finally:
+        coordinator.shutdown()
 
 
 # -- sanitized multi-tenant contention ---------------------------------------
