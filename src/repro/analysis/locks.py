@@ -106,15 +106,18 @@ class LockOrderMonitor:
                     frontier.append(succ)
         return False
 
-    def note_acquire(self, lock: "SanitizedLock") -> None:
+    def note_acquire(self, lock: "SanitizedLock", waited: bool = True) -> None:
         """Record one acquisition; raises on inversion when strict.
 
         Called *after* the inner lock is taken; on violation the caller
-        must release the inner lock before propagating.
+        must release the inner lock before propagating.  A try-acquire
+        (``waited=False``) cannot be the waiting edge of a deadlock
+        cycle, so it is neither checked nor entered as an ordering; the
+        lock still counts as held for whatever is acquired under it.
         """
         stack = self._stack()
         reentrant = any(entry[0] == id(lock) for entry in stack)
-        if not reentrant:
+        if waited and not reentrant:
             held_names = {entry[1] for entry in stack}
             with self._mutex:
                 for held in held_names:
@@ -173,7 +176,7 @@ class SanitizedLock:
         acquired = self._inner.acquire(blocking, timeout)
         if acquired:
             try:
-                self._monitor.note_acquire(self)
+                self._monitor.note_acquire(self, waited=blocking)
             except LockOrderError:
                 self._inner.release()
                 raise

@@ -89,6 +89,7 @@ from repro.core.dataplane import (
     BatchServerError,
     BatchSocketClient,
     BufferPool,
+    NotReady,
 )
 from repro.core.engine import EngineStats, PreprocessingEngine
 from repro.core.service import PlanCache, SandService
@@ -149,6 +150,7 @@ __all__ = [
     "MaterializationScheduler",
     "MaterializeStats",
     "NextUseOracle",
+    "NotReady",
     "ObjectNode",
     "PlanCache",
     "PreprocessingEngine",

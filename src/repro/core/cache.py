@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.locks import make_rlock
+from repro.analysis.locks import make_lock, make_rlock
 from repro.core.concrete_graph import MaterializationPlan
 from repro.core.pruning import PruningOutcome
 from repro.storage.local import LocalStore
@@ -40,6 +40,11 @@ class CacheManager:
         self.store = store
         self.policy = policy
         self._lock = make_rlock("cache-manager")
+        # The progress clock has a lock of its own: ``put`` holds the
+        # manager's lock across eviction I/O, and reporting progress (the
+        # demand path, or the batch server's event loop) must not queue
+        # behind that.
+        self._clock_lock = make_lock("cache-manager.clock")
         # key -> sorted steps at which the object is consumed (min over
         # tasks per use; conservative for multi-task objects).
         self._use_steps: Dict[str, List[int]] = {}
@@ -56,7 +61,8 @@ class CacheManager:
         """Record when each cacheable object will be needed."""
         with self._lock:
             self._use_steps.clear()
-            self._current_step = 0
+            with self._clock_lock:
+                self._current_step = 0
             for video_id, graph in plan.graphs.items():
                 frontier = (
                     pruning.frontier_of(video_id)
@@ -82,7 +88,7 @@ class CacheManager:
 
     def advance(self, step: int) -> None:
         """Report training progress (max step across tasks is fine)."""
-        with self._lock:
+        with self._clock_lock:
             self._current_step = max(self._current_step, step)
 
     # -- policy ------------------------------------------------------------------

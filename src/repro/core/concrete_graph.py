@@ -207,6 +207,9 @@ class BatchAssembly:
     epoch: int
     iteration: int
     samples: List[Tuple[str, str]] = field(default_factory=list)  # (video_id, leaf key)
+    # The batch's metadata mapping, memoized by whichever engine first
+    # describes it (a pure function of the plan; shared, read-only).
+    described: Optional[Dict] = field(default=None, repr=False, compare=False)
 
 
 class MaterializationPlan:

@@ -1,50 +1,45 @@
 """The async zero-copy data plane: pooled delivery buffers + event loop.
 
-SAND's delivery path used to end with an owned ``np.ndarray`` per batch:
-assembly allocated it, the trainer kept it, and serving it anywhere else
-meant at least one full copy at the trainer boundary.  This module makes
-delivery a first-class, accounted stage (the QuickVideo-style overlap of
-decode → prefetch → delivery):
+Delivery is a first-class, accounted stage (the QuickVideo-style overlap
+of decode → prefetch → delivery):
 
 * :class:`BufferPool` — reference-counted delivery buffers.  Assembly's
   fused epilogue writes the final batch bytes straight into a pooled
   buffer (:class:`BatchLease`); that one lease travels through the
   prefetcher's ready queue, across the socket, or into the trainer's
-  hands (``source.get_batch_lease(...)`` is the in-process API: the
-  trainer borrows the leased buffer directly, ~0 bytes copied per
-  batch), and the buffer returns to the pool when the last holder
-  releases it (client ACK, disconnect, or an explicit ``release``).
-  ``detach`` removes a buffer from the pool permanently — the
-  backward-compatible ``get_batch`` path hands the trainer an owned
-  array that way, with zero extra copies and zero reuse hazards.
+  hands (``source.get_batch_lease(...)`` is the in-process API: ~0 bytes
+  copied per batch), and the buffer returns to the pool when the last
+  holder releases it (client ACK, disconnect, or an explicit
+  ``release``).  ``detach`` removes a buffer from the pool for good —
+  how ``get_batch`` hands the trainer an owned array with zero copies.
   Whoever must learn that the buffer left the lease (the coordinator's
   admission ticket) hangs one ``on_release`` hook on it.
 * :class:`AsyncBatchServer` — an asyncio front end serving ``get_batch``
   to many concurrent trainer connections over a Unix-domain or TCP
-  socket, speaking :mod:`repro.core.wire`.  Batch bytes go out as a
-  ``memoryview`` of the leased buffer via ``loop.sock_sendall`` — no
-  intermediate ``bytes`` materialization, no pickling.  The server holds
-  each connection's lease until the client ACKs (or sends its next
-  request, or disconnects), so a buffer is never recycled while its
-  bytes are still in flight.
+  socket, speaking :mod:`repro.core.wire`.  A batch that is *ready* is
+  leased inline on the loop (``wait=False``: see :class:`NotReady`);
+  only a miss pays the hop to the executor.  The frame goes out as one
+  ``sendmsg`` of header+prefix and a ``memoryview`` of the leased
+  buffer — no intermediate ``bytes``, no pickling — and the lease is
+  held until the client ACKs (or sends its next request, or
+  disconnects), so a buffer is never recycled with bytes in flight.
 * :class:`BatchSocketClient` — the synchronous remote client (receives
   into one buffer, decodes the array as a zero-copy ``np.frombuffer``
-  view).
+  view, checks the reply answers the request).
 
 Backpressure rules: the pool never blocks ``acquire`` (assembly pace is
 bounded upstream by the prefetcher's depth and the engine's
 memory-pressure probe, which both count leased bytes), the server
 pipelines at most one outstanding batch per connection, and queued
 leases count toward engine memory accounting exactly as owned arrays
-did.
-
-The latency/wait counters here are observability only (never inputs to
-a scheduling decision), hence the wall-clock lint pragmas.
+did.  The latency/wait counters here are observability only (never
+inputs to a scheduling decision), hence the wall-clock lint pragmas.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import os
 import socket
@@ -86,6 +81,13 @@ class BatchServerError(DataPlaneError):
     def __init__(self, message: str, retryable: bool = False):
         super().__init__(message)
         self.retryable = retryable
+
+
+class NotReady(Exception):
+    """``get_batch_lease(..., wait=False)``: serving this batch now would
+    wait (a contended lock, a window roll, admission) or do real work.
+    Raised before anything has changed, so asking again with
+    ``wait=True`` is exactly the call that was never tried."""
 
 
 # -- buffer pool -------------------------------------------------------------
@@ -162,6 +164,9 @@ class BatchLease:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.release()
+
+
+Served = Tuple[BatchLease, Dict[str, Any]]  # what ``get_batch_lease`` returns
 
 
 class BufferPool:
@@ -263,22 +268,26 @@ class BufferPool:
 class AsyncBatchServer:
     """Event-loop front end serving ``get_batch`` over the wire protocol.
 
-    One asyncio task per connection; blocking engine work runs on a
-    bounded executor so many trainers progress concurrently while the
-    loop itself never blocks.  Per connection the protocol is::
+    One asyncio task per connection.  Per connection the protocol is::
 
         client HELLO  -> server HELLO          (version handshake)
-        client GET_BATCH {task,epoch,iteration}
-        server BATCH (header+meta, memoryview of leased buffer)
+        client GET_BATCH {task,epoch,iteration[,tenant]}
+        server BATCH (header+meta naming the same key, leased buffer)
                | ERR {error,message,retryable}
         client ACK                             (server releases the lease)
         ...    PING/PONG, STATS any time
 
-    A new GET_BATCH implicitly ACKs the previous batch; disconnect
-    releases whatever is pending.  ``source`` is any object with
-    ``get_batch_lease`` (engine or service); ``note_send`` on the
-    source, when present, receives per-send byte counts for the traffic
-    ledger.
+    A new GET_BATCH implicitly ACKs the previous batch; disconnect (or
+    cancellation) releases whatever is pending.  ``source`` is any
+    object whose ``get_batch_lease(task, epoch, iteration[, tenant=],
+    wait=)`` returns ``(lease, metadata)`` and, asked with
+    ``wait=False``, raises :class:`NotReady` rather than wait or work.
+    Every GET_BATCH is first asked that way *on the loop*; only after a
+    ``NotReady`` does the same call, without ``wait``, go to the bounded
+    executor — so the loop itself never blocks, and ``report()`` tells
+    the two ways apart (``served_inline`` / ``served_executor``).
+    ``note_send`` on the source, when present, receives per-send byte
+    counts for the traffic ledger.
     """
 
     def __init__(
@@ -291,10 +300,9 @@ class AsyncBatchServer:
         executor_workers: int = 8,
     ):
         if not hasattr(source, "get_batch_lease"):
-            raise TypeError(
-                f"{type(source).__name__} does not expose get_batch_lease"
-            )
+            raise TypeError(f"{type(source).__name__} does not expose get_batch_lease")
         self._source = source
+        self._note_send: Optional[Callable[..., None]] = getattr(source, "note_send", None)
         self._unix_path = unix_path
         self._host = host
         self._port = int(port)
@@ -311,16 +319,15 @@ class AsyncBatchServer:
         self._stall_monitor: Optional[EventLoopStallMonitor] = None
         self.address: Optional[Address] = None
         self._stats_lock = make_lock("dataplane.server-stats")
-        self._connections = 0
-        self._sends = 0
-        self._bytes_sent = 0
-        self._errs_sent = 0
-        self._acks = 0
-        # Engine calls submitted to the executor but not yet completed.
-        # Depth beyond the worker count means requests are queueing —
-        # the first thing a shard coordinator saturates.
-        self._exec_inflight = 0
-        self._exec_high_water = 0
+        # ``served_inline`` / ``served_executor``: which way each lease
+        # came (ready on the loop, or a miss through the executor).
+        # ``executor_queue_depth``: engine calls submitted and not yet
+        # completed; beyond the worker count, misses are queueing — the
+        # first thing a shard coordinator saturates.
+        self._counts = dict.fromkeys(
+            ("connections", "sends", "bytes_sent", "errs_sent", "acks",
+             "served_inline", "served_executor",
+             "executor_queue_depth", "executor_queue_high_water"), 0)
 
     # -- lifecycle (in-loop) -------------------------------------------------
     async def start(self) -> Address:
@@ -346,9 +353,7 @@ class AsyncBatchServer:
         sock.setblocking(False)
         self._sock = sock
         if sanitizers_enabled():
-            self._stall_monitor = EventLoopStallMonitor(
-                loop, label="AsyncBatchServer loop"
-            )
+            self._stall_monitor = EventLoopStallMonitor(loop, label="AsyncBatchServer loop")
             self._stall_monitor.start()
         self._accept_task = loop.create_task(self._accept_loop())
         return self.address
@@ -377,10 +382,8 @@ class AsyncBatchServer:
         # the loop is serving no one while these two teardown calls
         # block it.
         if self._unix_path is not None:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(self._unix_path)  # sandlint: ignore[blocking-in-async]
-            except OSError:
-                pass
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)  # sandlint: ignore[blocking-in-async]
@@ -445,16 +448,7 @@ class AsyncBatchServer:
     # -- stats ----------------------------------------------------------------
     def report(self) -> Dict[str, int]:
         with self._stats_lock:
-            return {
-                "connections": self._connections,
-                "sends": self._sends,
-                "bytes_sent": self._bytes_sent,
-                "errs_sent": self._errs_sent,
-                "acks": self._acks,
-                "executor_workers": self._executor_workers,
-                "executor_queue_depth": self._exec_inflight,
-                "executor_queue_high_water": self._exec_high_water,
-            }
+            return {**self._counts, "executor_workers": self._executor_workers}
 
     # -- serving ---------------------------------------------------------------
     async def _accept_loop(self) -> None:
@@ -470,16 +464,13 @@ class AsyncBatchServer:
     async def _serve_connection(self, conn: socket.socket) -> None:
         loop = asyncio.get_running_loop()
         pending: Optional[BatchLease] = None
-        with self._stats_lock:
-            self._connections += 1
+        sndbuf = 0  # the largest frame SO_SNDBUF was last sized for
+        self._count(connections=1)
         try:
             ftype, payload = await self._read_frame(loop, conn)
             if ftype != wire.FrameType.HELLO:
-                await loop.sock_sendall(
-                    conn,
-                    self._err_frame(
-                        wire.WireError(f"expected HELLO, got {ftype.name}")
-                    ),
+                await self._send_err(
+                    loop, conn, wire.WireError(f"expected HELLO, got {ftype.name}")
                 )
                 return
             await loop.sock_sendall(
@@ -498,21 +489,17 @@ class AsyncBatchServer:
                     if pending is not None:
                         pending.release()
                         pending = None
-                        with self._stats_lock:
-                            self._acks += 1
-                    continue
-                if ftype == wire.FrameType.PING:
+                        self._count(acks=1)
+                elif ftype == wire.FrameType.PING:
                     await loop.sock_sendall(
                         conn, wire.control_frame(wire.FrameType.PONG, payload)
                     )
-                    continue
-                if ftype == wire.FrameType.STATS:
+                elif ftype == wire.FrameType.STATS:
                     await loop.sock_sendall(
                         conn,
                         wire.json_frame(wire.FrameType.STATS, self._stats_payload()),
                     )
-                    continue
-                if ftype == wire.FrameType.GET_BATCH:
+                elif ftype == wire.FrameType.GET_BATCH:
                     # A new request implicitly ACKs the previous batch.
                     if pending is not None:
                         pending.release()
@@ -520,37 +507,26 @@ class AsyncBatchServer:
                     try:
                         request = wire.parse_json(payload)
                         lease, metadata = await self._get_lease(loop, request)
-                    except asyncio.CancelledError:
-                        raise
                     except Exception as exc:
-                        with self._stats_lock:
-                            self._errs_sent += 1
-                        await loop.sock_sendall(conn, self._err_frame(exc))
+                        await self._send_err(loop, conn, exc)
                         continue
                     pending = lease
                     # Counted before the write so a snapshot taken by a
                     # client that already received the batch can never
                     # run ahead of these counters.
-                    with self._stats_lock:
-                        self._sends += 1
-                        self._bytes_sent += lease.nbytes
-                    self._note_send(request.get("task"), lease.nbytes)
-                    for part in wire.batch_frame_parts(metadata, lease.array):
-                        await loop.sock_sendall(conn, part)
-                    continue
-                with self._stats_lock:
-                    self._errs_sent += 1
-                await loop.sock_sendall(
-                    conn,
-                    self._err_frame(
-                        wire.WireError(f"unexpected frame type {ftype.name}")
-                    ),
-                )
-        except asyncio.CancelledError:
-            raise
-        except (wire.WireError, ConnectionError, OSError):
+                    self._count(sends=1, bytes_sent=lease.nbytes)
+                    if self._note_send is not None:
+                        self._note_send(lease.nbytes, task=request.get("task"))
+                    parts = wire.batch_frame_parts(metadata, lease.array)
+                    sndbuf = await self._send_batch(loop, conn, parts, sndbuf)
+                else:
+                    await self._send_err(
+                        loop, conn, wire.WireError(f"unexpected frame type {ftype.name}")
+                    )
+        except (wire.WireError, OSError):
             # Corrupt framing or a vanished peer: drop the connection;
-            # the finally block returns any in-flight lease to the pool.
+            # the finally block returns any in-flight lease to the pool
+            # (as it does when the task is cancelled).
             pass
         finally:
             if pending is not None:
@@ -559,33 +535,31 @@ class AsyncBatchServer:
 
     async def _get_lease(
         self, loop: asyncio.AbstractEventLoop, request: Dict[str, Any]
-    ) -> Tuple[BatchLease, Dict[str, Any]]:
+    ) -> Served:
         try:
             task = request["task"]
             epoch = int(request["epoch"])
             iteration = int(request["iteration"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataPlaneError(f"malformed GET_BATCH request: {exc}") from exc
+        # Only multi-tenant sources (the coordinator) accept the keyword;
+        # a plain engine rejects it loudly, not silently unaccounted.
         tenant = request.get("tenant")
-        assert self._executor is not None
-        if tenant is None:
-            call = functools.partial(
-                self._source.get_batch_lease, task, epoch, iteration
-            )
+        who = {} if tenant is None else {"tenant": str(tenant)}
+        get = self._source.get_batch_lease
+        try:
+            # Inline, on the loop: a ready batch (bounded memcpy or a
+            # queue pop, every contended lock a miss) never leaves it.
+            served: Served = get(task, epoch, iteration, wait=False, **who)
+        except NotReady:
+            pass  # nothing has changed: the executor call is the first
         else:
-            # Only multi-tenant sources (the shard coordinator) accept
-            # the keyword; a plain engine rejects it loudly rather than
-            # silently dropping the tenant's accounting.
-            call = functools.partial(
-                self._source.get_batch_lease, task, epoch, iteration,
-                tenant=str(tenant),
-            )
-        with self._stats_lock:
-            self._exec_inflight += 1
-            self._exec_high_water = max(self._exec_high_water, self._exec_inflight)
-        future: "asyncio.Future[Tuple[BatchLease, Dict[str, Any]]]" = (
-            loop.run_in_executor(self._executor, call)
-        )
+            self._count(served_inline=1)
+            return served
+        assert self._executor is not None
+        call = functools.partial(get, task, epoch, iteration, **who)
+        self._count(served_executor=1, executor_queue_depth=1)
+        future: "asyncio.Future[Served]" = loop.run_in_executor(self._executor, call)
         future.add_done_callback(self._note_exec_done)
         try:
             return await future
@@ -596,18 +570,23 @@ class AsyncBatchServer:
             raise
 
     def _note_exec_done(self, _future: "asyncio.Future[Any]") -> None:
+        self._count(executor_queue_depth=-1)
+
+    def _count(self, **deltas: int) -> None:
         with self._stats_lock:
-            self._exec_inflight = max(0, self._exec_inflight - 1)
+            counts = self._counts
+            for name, delta in deltas.items():
+                counts[name] += delta
+            counts["executor_queue_high_water"] = max(
+                counts["executor_queue_high_water"], counts["executor_queue_depth"]
+            )
 
     async def _read_frame(
         self, loop: asyncio.AbstractEventLoop, conn: socket.socket
     ) -> Tuple[wire.FrameType, bytearray]:
         header = await self._recv_exact(loop, conn, wire.HEADER_SIZE)
         ftype, length = wire.unpack_header(header, max_payload=self._max_payload)
-        payload = (
-            await self._recv_exact(loop, conn, length) if length else bytearray()
-        )
-        return ftype, payload
+        return ftype, await self._recv_exact(loop, conn, length)
 
     @staticmethod
     async def _recv_exact(
@@ -619,23 +598,20 @@ class AsyncBatchServer:
         while got < n:
             received = await loop.sock_recv_into(conn, view[got:])
             if received == 0:
-                raise wire.WireEOFError(
-                    "peer closed the connection"
-                    if got == 0
-                    else f"peer closed the connection mid-frame ({got}/{n} bytes)"
-                )
+                raise _eof("peer", got, n)
             got += received
         return buf
 
-    def _err_frame(self, exc: BaseException) -> bytes:
-        return wire.json_frame(
-            wire.FrameType.ERR,
-            {
-                "error": type(exc).__name__,
-                "message": str(exc),
-                "retryable": isinstance(exc, _RETRYABLE),
-            },
-        )
+    async def _send_err(
+        self, loop: asyncio.AbstractEventLoop, conn: socket.socket, exc: BaseException
+    ) -> None:
+        self._count(errs_sent=1)
+        info = {
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "retryable": isinstance(exc, _RETRYABLE),
+        }
+        await loop.sock_sendall(conn, wire.json_frame(wire.FrameType.ERR, info))
 
     def _stats_payload(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"server": self.report()}
@@ -644,17 +620,42 @@ class AsyncBatchServer:
             payload["source"] = reporter()
         return payload
 
-    def _note_send(self, task: Optional[str], nbytes: int) -> None:
-        noter: Optional[Callable[..., None]] = getattr(
-            self._source, "note_send", None
-        )
-        if noter is not None:
-            noter(nbytes, task=task)
+    @staticmethod
+    async def _send_batch(
+        loop: asyncio.AbstractEventLoop,
+        conn: socket.socket,
+        parts: List[wire.Payload],
+        sndbuf: int,
+    ) -> int:
+        """Write one BATCH frame, in one go when the kernel takes it.
+
+        A frame over the send buffer parks ``sock_sendall`` mid-batch
+        and ping-pongs with the reader, so the buffer is grown to the
+        frame being sent (once per larger size; the kernel caps it) and
+        all parts go down in one ``sendmsg``; ``sock_sendall`` sends any
+        rest.  Returns the frame size the buffer is now sized for.
+        """
+        total = sum(len(part) for part in parts)
+        if total > sndbuf:
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, total)
+            sndbuf = total
+        try:
+            sent = conn.sendmsg(parts)  # non-blocking socket: never waits
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        for part in parts:
+            if sent < len(part):
+                await loop.sock_sendall(conn, memoryview(part)[sent:])
+            sent = max(0, sent - len(part))
+        return sndbuf
 
 
-def _release_orphan(
-    future: "asyncio.Future[Tuple[BatchLease, Dict[str, Any]]]",
-) -> None:
+def _eof(who: str, got: int, n: int) -> wire.WireEOFError:
+    where = f" mid-frame ({got}/{n} bytes)" if got else ""
+    return wire.WireEOFError(f"{who} closed the connection{where}")
+
+
+def _release_orphan(future: "asyncio.Future[Served]") -> None:
     if future.cancelled() or future.exception() is not None:
         return
     lease, _metadata = future.result()
@@ -688,7 +689,6 @@ class BatchSocketClient:
         else:
             host, port = address
             sock = socket.create_connection((host, int(port)), timeout=timeout)
-            sock.settimeout(timeout)
         self._sock = sock
         self._send(
             wire.json_frame(
@@ -710,26 +710,32 @@ class BatchSocketClient:
         iteration: int,
         tenant: Optional[str] = None,
     ) -> Tuple[np.ndarray, Dict[str, Any]]:
-        request: Dict[str, Any] = {
-            "task": task,
-            "epoch": int(epoch),
-            "iteration": int(iteration),
-        }
+        key = (task, int(epoch), int(iteration))
+        request: Dict[str, Any] = {"task": task, "epoch": key[1], "iteration": key[2]}
         if tenant is not None:
             request["tenant"] = str(tenant)
-        self._send(wire.json_frame(wire.FrameType.GET_BATCH, request))
-        ftype, payload = self._read_frame()
-        if ftype == wire.FrameType.ERR:
-            info = wire.parse_json(payload)
-            raise BatchServerError(
-                f"{info.get('error', 'Error')}: {info.get('message', '')}",
-                retryable=bool(info.get("retryable")),
-            )
-        if ftype != wire.FrameType.BATCH:
-            raise wire.WireError(f"expected BATCH or ERR, got {ftype.name}")
-        metadata, array = wire.decode_batch_payload(payload)
-        # The server holds the delivery lease until this ACK lands.
-        self._send(wire.control_frame(wire.FrameType.ACK))
+        try:
+            self._send(wire.json_frame(wire.FrameType.GET_BATCH, request))
+            ftype, payload = self._read_frame()
+            if ftype == wire.FrameType.ERR:
+                info = wire.parse_json(payload)
+                raise BatchServerError(
+                    f"{info.get('error', 'Error')}: {info.get('message', '')}",
+                    retryable=bool(info.get("retryable")),
+                )
+            if ftype != wire.FrameType.BATCH:
+                raise wire.WireError(f"expected BATCH or ERR, got {ftype.name}")
+            metadata, array = wire.decode_batch_payload(payload)
+            answers = tuple(metadata.get(name) for name in ("task", "epoch", "iteration"))
+            if answers != key:
+                raise wire.WireError(f"BATCH answers {answers}, not the request {key}")
+            # The server holds the delivery lease until this ACK lands.
+            self._send(wire.control_frame(wire.FrameType.ACK))
+        except (OSError, wire.WireError):
+            # Bytes of some reply may sit unread, for the next call to
+            # decode as its own: closed is unusable, which beats wrong.
+            self.close()
+            raise
         return array, metadata
 
     def get_batch_with_retry(
@@ -741,14 +747,13 @@ class BatchSocketClient:
         tenant: Optional[str] = None,
     ) -> Tuple[np.ndarray, Dict[str, Any]]:
         """``get_batch`` retrying server-declared-transient failures."""
-        attempt = 0
-        while True:
+        for _ in range(retries):
             try:
                 return self.get_batch(task, epoch, iteration, tenant=tenant)
             except BatchServerError as exc:
-                if not exc.retryable or attempt >= retries:
+                if not exc.retryable:
                     raise
-                attempt += 1
+        return self.get_batch(task, epoch, iteration, tenant=tenant)
 
     def ping(self) -> bool:
         self._send(wire.control_frame(wire.FrameType.PING, b"ping"))
@@ -770,8 +775,7 @@ class BatchSocketClient:
     def _read_frame(self) -> Tuple[wire.FrameType, bytearray]:
         header = self._recv_exact(wire.HEADER_SIZE)
         ftype, length = wire.unpack_header(header, max_payload=self._max_payload)
-        payload = self._recv_exact(length) if length else bytearray()
-        return ftype, payload
+        return ftype, self._recv_exact(length)
 
     def _recv_exact(self, n: int) -> bytearray:
         buf = bytearray(n)
@@ -780,11 +784,7 @@ class BatchSocketClient:
         while got < n:
             received = self._sock.recv_into(view[got:])
             if received == 0:
-                raise wire.WireEOFError(
-                    "server closed the connection"
-                    if got == 0
-                    else f"server closed the connection mid-frame ({got}/{n} bytes)"
-                )
+                raise _eof("server", got, n)
             got += received
         return buf
 

@@ -34,7 +34,7 @@ from repro.codec.incremental import AnchorCache
 from repro.core.cache import CacheManager
 from repro.core.clairvoyant import oracle_from_plan
 from repro.core.concrete_graph import BatchAssembly, MaterializationPlan
-from repro.core.dataplane import BatchLease, BufferPool
+from repro.core.dataplane import BatchLease, BufferPool, NotReady
 from repro.core.materializer import VideoMaterializer
 from repro.core.prefetch import BatchPrefetcher, PrefetchStats
 from repro.core.pruning import PruningOutcome
@@ -44,6 +44,7 @@ from repro.core.scheduling import (
     WorkGate,
     build_jobs,
 )
+from repro.core.wire import BatchDescription
 from repro.faults.errors import InjectedWorkerCrash, TransientDecodeError
 from repro.faults.proxies import FaultyDecoder
 from repro.storage.objectstore import TransientStorageError
@@ -275,6 +276,11 @@ class PreprocessingEngine:
         if self._prefetcher is not None:
             self._prefetcher.start()
 
+    @property
+    def running(self) -> bool:
+        """Started and not stopped: ``start()`` would do nothing."""
+        return self._started
+
     def stop(self) -> None:
         """Signal and join workers, then fold the stats so a stopped (or
         rolled-away) engine's held stats object is final.  Idempotent and
@@ -406,7 +412,7 @@ class PreprocessingEngine:
         return lease.detach(), metadata
 
     def get_batch_lease(
-        self, task: str, epoch: int, iteration: int
+        self, task: str, epoch: int, iteration: int, wait: bool = True
     ) -> Tuple[BatchLease, Dict]:
         """The demand path — prefetch hand-off or synchronous assembly —
         lending the pooled delivery buffer.
@@ -414,35 +420,70 @@ class PreprocessingEngine:
         The caller must ``release()`` the lease when the batch is
         consumed (the async server does so on client ACK/disconnect);
         the buffer then re-enters the pool for the next assembly.
+
+        ``wait=False`` serves the batch only if that takes no waiting
+        and no real work — it is in the prefetcher's ready queue, or
+        (no prefetcher) every sample leaf is memoized and owes no store
+        write, so assembly is a bounded memcpy — and raises
+        :class:`NotReady` otherwise, *before anything has changed*: no
+        miss counted, no pointer or clock moved.  A batch served this
+        way leaves every counter exactly as ``wait=True`` would have.
         """
         key = (task, epoch, iteration)
         if key not in self.plan.batches:
             raise KeyError(f"no batch planned for {key}")
         assembly = self.plan.batches[key]
-        step = self.plan.global_step(task, epoch, iteration)
-        with self._progress_lock:
-            self._progress[task] = max(self._progress[task], step)
-        if self.cache is not None:
-            self.cache.advance(step)
-        # Keep the anchor cache's Belady clock in lockstep with training
-        # progress so next-use distances are measured from "now".
-        self.anchor_cache.advance(step)
-
         ready = None
-        if self._prefetcher is not None:
-            ready = self._prefetcher.take(task, epoch, iteration)
-        if ready is not None:
-            lease, metadata = ready
-        else:
-            self._work_gate.enter(WorkClass.DEMAND)
-            try:
-                metadata = self.batch_metadata(assembly)
-                lease = self._assemble(assembly)
-            finally:
-                self._work_gate.exit(WorkClass.DEMAND)
+        held: List[VideoMaterializer] = []
+        if not wait:
+            # NotReady leaves from here, before anything has changed.
+            if self._prefetcher is None:
+                held = self._hold_memoized(assembly)
+            else:
+                ready = self._prefetcher.take(task, epoch, iteration, wait=False)
+                if ready is None:
+                    raise NotReady(f"{key} is not in the ready queue")
+        try:
+            step = self.plan.global_step(task, epoch, iteration)
+            with self._progress_lock:
+                self._progress[task] = max(self._progress[task], step)
+            if self.cache is not None:
+                self.cache.advance(step)
+            # Keep the anchor cache's Belady clock in lockstep with training
+            # progress so next-use distances are measured from "now".
+            self.anchor_cache.advance(step)
+
+            if wait and self._prefetcher is not None:
+                ready = self._prefetcher.take(task, epoch, iteration)
+            if ready is not None:
+                lease, metadata = ready
+            else:
+                self._work_gate.enter(WorkClass.DEMAND)
+                try:
+                    metadata = self.batch_metadata(assembly)
+                    lease = self._assemble(assembly)
+                finally:
+                    self._work_gate.exit(WorkClass.DEMAND)
+        finally:
+            for materializer in held:
+                materializer.unhold()
         self._stats.batches_served += 1
         self._note_memory()
         return lease, metadata
+
+    def _hold_memoized(self, assembly: BatchAssembly) -> List[VideoMaterializer]:
+        """Hold, without waiting, the materializer of every sample — all
+        leaves memoized, none owing a store write — or hold nothing and
+        raise :class:`NotReady`.  Under the hold, assembly cannot wait."""
+        held: List[VideoMaterializer] = []
+        for video_id, leaf_key in assembly.samples:
+            materializer = self._materializers.get(video_id)
+            if materializer is None or not materializer.hold_memoized(leaf_key):
+                for holder in held:
+                    holder.unhold()
+                raise NotReady(f"{video_id}:{leaf_key} is not memoized")
+            held.append(materializer)
+        return held
 
     def _assemble(self, assembly: BatchAssembly) -> BatchLease:
         """Materialize and collate one assembly into a pooled lease."""
@@ -614,6 +655,10 @@ class PreprocessingEngine:
         )
 
     def batch_metadata(self, assembly: BatchAssembly) -> Dict:
+        """The batch's metadata mapping: built on first use, then the
+        same read-only object for every request and every trainer."""
+        if assembly.described is not None:
+            return assembly.described
         videos, timestamps, labels, frame_lists = [], [], [], []
         for video_id, leaf_key in assembly.samples:
             graph = self.plan.graphs[video_id]
@@ -625,15 +670,16 @@ class PreprocessingEngine:
             timestamps.append([round(i / md.fps, 6) for i in indices])
             label = getattr(self.dataset, "label", None)
             labels.append(label(video_id) if callable(label) else None)
-        return {
-            "task": assembly.task,
-            "epoch": assembly.epoch,
-            "iteration": assembly.iteration,
-            "videos": videos,
-            "frame_indices": frame_lists,
-            "timestamps": timestamps,
-            "labels": labels,
-        }
+        assembly.described = BatchDescription(
+            task=assembly.task,
+            epoch=assembly.epoch,
+            iteration=assembly.iteration,
+            videos=videos,
+            frame_indices=frame_lists,
+            timestamps=timestamps,
+            labels=labels,
+        )
+        return assembly.described
 
     # -- pre-materialization ---------------------------------------------------
     def _worker_loop(self) -> None:
@@ -719,6 +765,13 @@ class PreprocessingEngine:
 
     # -- shared state ------------------------------------------------------------
     def _materializer(self, video_id: str) -> VideoMaterializer:
+        # Entries are only ever added, so a lock-free read is safe; and
+        # the encoded bytes (possibly a file read) are fetched before
+        # the lock, which therefore never covers more than a dict insert.
+        materializer = self._materializers.get(video_id)
+        if materializer is not None:
+            return materializer
+        encoded = self.dataset.get_bytes(video_id)
         with self._mat_lock:
             if video_id not in self._materializers:
                 frontier = (
@@ -728,7 +781,7 @@ class PreprocessingEngine:
                 )
                 self._materializers[video_id] = VideoMaterializer(
                     self.plan.graphs[video_id],
-                    self.dataset.get_bytes(video_id),
+                    encoded,
                     cache=self.cache,
                     frontier=frontier,
                     registry=self.registry,

@@ -133,6 +133,7 @@ class VideoMaterializer:
         # marks (a re-request recomputes, byte-identically).
         self.consumed: Set[str] = set()
         self._memo: Dict[str, np.ndarray] = {}
+        self._leaf_specs: Dict[str, Optional[Tuple[Tuple[int, ...], np.dtype]]] = {}
         self._decoder: Optional[VideoDecoder] = None
         self._lock = make_rlock("materializer")
 
@@ -195,14 +196,20 @@ class VideoMaterializer:
         collated clip, and an opaque op's output dtype is only known by
         running it.  Decoded frames are ``(1, H, W, 3)`` uint8.
         """
+        try:
+            return self._leaf_specs[key]  # a pure function of the graph
+        except KeyError:
+            pass
         node = self.graph.nodes[key]
-        if node.kind != "sample" or node.clip_ops or node.clip_shape is None:
-            return None
-        chain, _ = self._aug_chain(node.parents[0])
-        metadata = self.graph.metadata
-        plan = plan_for(self.registry, chain, (1, metadata.height, metadata.width, 3))
-        dtype = plan.out_dtype(np.dtype(np.uint8))
-        return None if dtype is None else (node.clip_shape, dtype)
+        spec = None
+        if node.kind == "sample" and not node.clip_ops and node.clip_shape is not None:
+            chain, _ = self._aug_chain(node.parents[0])
+            metadata = self.graph.metadata
+            plan = plan_for(self.registry, chain, (1, metadata.height, metadata.width, 3))
+            dtype = plan.out_dtype(np.dtype(np.uint8))
+            spec = None if dtype is None else (node.clip_shape, dtype)
+        self._leaf_specs[key] = spec
+        return spec
 
     def prematerialize(self, key: str) -> bool:
         """``get`` ahead of use, for the pre-materialization worker.
@@ -217,6 +224,28 @@ class VideoMaterializer:
                 return False
             self.get(key)
             return True
+
+    def hold_memoized(self, key: str) -> bool:
+        """Take the lock *without waiting*, and keep it, if ``get`` /
+        ``get_into`` of ``key`` is a plain copy out of the memo: no
+        decode, no store read and no store write owed.
+
+        False — and nothing held — when the lock is contended or the key
+        would need work.  While the hold lasts the answer cannot change
+        (``release_all`` needs the lock), so a caller that must not wait
+        holds every materializer of a batch, assembles, and then calls
+        :meth:`unhold` on each.  The lock is reentrant: ``get`` and
+        ``get_into`` run unchanged under the hold.
+        """
+        if not self._lock.acquire(blocking=False):
+            return False
+        if key in self._memo and not self._owes_persist(key):
+            return True
+        self._lock.release()
+        return False
+
+    def unhold(self) -> None:
+        self._lock.release()
 
     def materialize_frontier(self) -> int:
         """Compute and persist every frontier node; returns nodes stored."""
@@ -344,8 +373,11 @@ class VideoMaterializer:
         self.stats.cache_hits += 1
         return array
 
+    def _owes_persist(self, key: str) -> bool:
+        return self.cache is not None and key in self.frontier and key not in self.cache
+
     def _persist_if_frontier(self, key: str, array: np.ndarray) -> None:
-        if self.cache is None or key not in self.frontier or key in self.cache:
+        if not self._owes_persist(key):
             return
         try:
             self.cache.put(key, encode_array(array))

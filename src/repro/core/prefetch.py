@@ -275,7 +275,7 @@ class BatchPrefetcher:
 
     # -- trainer side --------------------------------------------------------
     def take(
-        self, task: str, epoch: int, iteration: int
+        self, task: str, epoch: int, iteration: int, wait: bool = True
     ) -> Optional[Tuple[Any, Dict[str, object]]]:
         """Hand over the batch if prefetched; ``None`` means assemble
         synchronously (the byte-identical fallback).
@@ -284,14 +284,21 @@ class BatchPrefetcher:
         always target batches at or after the trainer's position.  If
         the exact batch is being assembled right now, waits (bounded)
         for that assembly instead of duplicating the work.
+
+        ``wait=False`` is the question "is it queued right now?": the
+        lock is tried, never waited for, and ``None`` then means nothing
+        happened — no miss counted, no pointer moved — so the caller can
+        still ask again with ``wait=True``.  A queued batch is handed
+        over exactly as above.
         """
-        with self._lock:
+        if not self._lock.acquire(blocking=wait):
+            return None
+        try:
             state = self._tasks.get(task)
-            if state is None:
-                self.stats.misses += 1
+            pos = None if state is None else state.position.get((epoch, iteration))
+            if not wait and (state is None or pos not in state.ready):
                 return None
-            pos = state.position.get((epoch, iteration))
-            if pos is None:
+            if state is None or pos is None:
                 self.stats.misses += 1
                 return None
             # Pop the requested batch *before* advancing the pointer and
@@ -307,6 +314,8 @@ class BatchPrefetcher:
             event = state.inflight.get(pos)
             if event is not None:
                 state.waiting.add(pos)
+        finally:
+            self._lock.release()
         if event is None:
             with self._lock:
                 self.stats.misses += 1

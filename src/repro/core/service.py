@@ -59,7 +59,7 @@ from repro.core.concrete_graph import (
     build_plan_window,
 )
 from repro.core.config import TaskConfig
-from repro.core.dataplane import AsyncBatchServer, BatchLease, BufferPool
+from repro.core.dataplane import AsyncBatchServer, BatchLease, BufferPool, NotReady
 from repro.core.engine import PreprocessingEngine
 from repro.core.pruning import PruningOutcome, prune_plan
 from repro.core.recovery import (
@@ -114,17 +114,29 @@ class PlanCache:
         self.waits = 0
 
     def get(
-        self, key: Hashable, build: Callable[[], PlannedWindow], ahead: bool = False
+        self,
+        key: Hashable,
+        build: Callable[[], PlannedWindow],
+        ahead: bool = False,
+        wait: bool = True,
     ) -> PlannedWindow:
-        with self._cond:
-            if key in self._building:
+        """The window under ``key``, built at most once.  ``wait=False``
+        is a pure lookup: :class:`NotReady` unless it is already here."""
+        if not self._cond.acquire(blocking=wait):
+            raise NotReady("plan cache is busy")
+        try:
+            if wait and key in self._building:
                 self.waits += 1
                 while key in self._building:
                     self._cond.wait()
             if key in self._windows:
                 self.hits += 1
                 return self._windows[key]
+            if not wait:
+                raise NotReady("window is not planned yet")
             self._building.add(key)
+        finally:
+            self._cond.release()
         try:
             window = build()
             with self._cond:
@@ -305,25 +317,38 @@ class SandService(FileSystemProvider):
         return self._single_group().engine
 
     # -- window management ----------------------------------------------------
-    def ensure_window(self, epoch: int, task: Optional[str] = None) -> PreprocessingEngine:
+    def ensure_window(
+        self, epoch: int, task: Optional[str] = None, wait: bool = True
+    ) -> PreprocessingEngine:
         """Plan/prune/start the k-epoch window containing ``epoch``.
 
         With multiple dataset groups, ``task`` selects which group;
-        single-group services may omit it.
+        single-group services may omit it.  ``wait=False`` only answers
+        when there is nothing to do — the window is live, its engine
+        running, no plan-ahead to start — and raises :class:`NotReady`
+        when anything would happen or the window lock is held (a roll
+        in progress).
         """
         group = self._group(task) if task is not None else self._single_group()
-        with self._window_lock:
-            if (
-                group.window_start is not None
-                and group.window_start <= epoch < group.window_start + self.k_epochs
-            ):
+        if not self._window_lock.acquire(blocking=wait):
+            raise NotReady("a window roll is in progress")
+        try:
+            start = group.window_start
+            if start is not None and start <= epoch < start + self.k_epochs:
                 assert group.engine is not None
+                following = start + self.k_epochs
+                kick = epoch == following - 1 and group.ahead_start != following
+                if not wait and (kick or not group.engine.running):
+                    raise NotReady("the live window has work to start")
                 group.engine.start()  # no-op if already running
-                if epoch == group.window_start + self.k_epochs - 1:
-                    self._plan_ahead(group, group.window_start + self.k_epochs)
+                if kick:
+                    self._plan_ahead(group, following)
                 return group.engine
-            start = (epoch // self.k_epochs) * self.k_epochs
-            return self._build_window(group, start)
+            if not wait:
+                raise NotReady(f"epoch {epoch} is outside the live window")
+            return self._build_window(group, (epoch // self.k_epochs) * self.k_epochs)
+        finally:
+            self._window_lock.release()
 
     def _plan_ahead(self, group: _Group, epoch_start: int) -> None:
         """Build the next window's plan off the trainers' threads.
@@ -335,8 +360,6 @@ class SandService(FileSystemProvider):
         raises caches nothing; the roll then rebuilds on the trainer's
         thread and raises there.
         """
-        if group.ahead_start == epoch_start:
-            return
         if group.planner is not None:
             group.planner.join()  # a window old: long finished
         group.ahead_start = epoch_start
@@ -348,15 +371,18 @@ class SandService(FileSystemProvider):
         )
         group.planner.start()
 
-    def window_plan(self, epoch: int, task: Optional[str] = None) -> MaterializationPlan:
+    def window_plan(
+        self, epoch: int, task: Optional[str] = None, wait: bool = True
+    ) -> MaterializationPlan:
         """The plan of the window containing ``epoch`` — metadata only:
-        no window is rolled and no engine touched."""
+        no window is rolled and no engine touched.  ``wait=False`` never
+        builds one: :class:`NotReady` unless it is cached."""
         group = self._group(task) if task is not None else self._single_group()
         start = (epoch // self.k_epochs) * self.k_epochs
-        return self._planned(group, start)[0]
+        return self._planned(group, start, wait=wait)[0]
 
     def _planned(
-        self, group: _Group, epoch_start: int, ahead: bool = False
+        self, group: _Group, epoch_start: int, ahead: bool = False, wait: bool = True
     ) -> PlannedWindow:
         budget = self.store.capacity_bytes
 
@@ -381,7 +407,7 @@ class SandService(FileSystemProvider):
             budget,
             len(group.dataset.video_ids),  # a streaming corpus grows per window
         )
-        return self.plan_cache.get(key, build, ahead)
+        return self.plan_cache.get(key, build, ahead, wait)
 
     def set_scope(self, owns: Optional[Callable[[BatchAssembly], bool]]) -> None:
         """Confine background work to the batches ``owns`` accepts.
@@ -556,16 +582,19 @@ class SandService(FileSystemProvider):
     get_batch = batch
 
     def get_batch_lease(
-        self, task: str, epoch: int, iteration: int
+        self, task: str, epoch: int, iteration: int, wait: bool = True
     ) -> Tuple[BatchLease, Dict]:
         """``batch`` lending the pooled delivery buffer (zero-copy path).
 
         The in-process trainer API, and what
         :class:`~repro.core.dataplane.AsyncBatchServer` serves from; the
         caller releases the lease once the batch is consumed.
+        ``wait=False`` (the server's first, on-loop attempt) raises
+        :class:`NotReady` instead of rolling a window, waiting for a
+        lock or assembling anything; see the engine's method.
         """
-        engine = self.ensure_window(epoch, task=task)
-        return engine.get_batch_lease(task, epoch, iteration)
+        engine = self.ensure_window(epoch, task=task, wait=wait)
+        return engine.get_batch_lease(task, epoch, iteration, wait=wait)
 
     def note_send(self, nbytes: int, task: Optional[str] = None) -> None:
         """Charge one socket delivery to the owning engine's ledger."""

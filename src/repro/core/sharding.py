@@ -61,9 +61,9 @@ import numpy as np
 
 from repro.analysis.locks import make_lock
 from repro.core.concrete_graph import BatchAssembly, MaterializationPlan
-from repro.core.dataplane import AsyncBatchServer, BatchLease
+from repro.core.dataplane import AsyncBatchServer, BatchLease, NotReady
 from repro.core.service import SandService
-from repro.core.tenancy import DEFAULT_TENANT, AdmissionController
+from repro.core.tenancy import DEFAULT_TENANT, AdmissionController, AdmissionTicket
 from repro.core.views import BatchView, try_parse_view_path
 from repro.faults.schedule import (
     SITE_COORD_PLACE,
@@ -331,18 +331,20 @@ class ShardCoordinator(FileSystemProvider):
         """The batch's *name* (fault-site key; ring key of unplanned batches)."""
         return f"{task}/{epoch}/{iteration}"
 
-    def _plan(self, task: str, epoch: int) -> MaterializationPlan:
+    def _plan(self, task: str, epoch: int, wait: bool = True) -> MaterializationPlan:
         """The fleet's (deterministic) plan of the window holding
         ``epoch``: read through the shared cache, so no shard's window
         moves and any shard's answer is every shard's."""
         with self._lock:
             shard = next(iter(self._shards.values()))
-        return shard.window_plan(epoch, task)
+        return shard.window_plan(epoch, task, wait=wait)
 
-    def _assembly(self, task: str, epoch: int, iteration: int) -> Optional[BatchAssembly]:
+    def _assembly(
+        self, task: str, epoch: int, iteration: int, wait: bool = True
+    ) -> Optional[BatchAssembly]:
         """The batch's composition, from the fleet's plan."""
         try:
-            return self._plan(task, epoch).batches.get((task, epoch, iteration))
+            return self._plan(task, epoch, wait).batches.get((task, epoch, iteration))
         except KeyError:  # unknown task: the serving shard reports it
             return None
 
@@ -361,13 +363,17 @@ class ShardCoordinator(FileSystemProvider):
             return self.ring.preference(name)
         key = content_key(assembly.samples)
         with self._lock:
-            first = self._seen.get(key)
-            if first is None:
-                self._seen[key] = (task, epoch, iteration)
-                self._dedup_misses += 1
-            elif first != (task, epoch, iteration):
-                self._dedup_hits += 1
+            self._note_view_locked(key, (task, epoch, iteration))
             return self.ring.preference(key)
+
+    def _note_view_locked(self, key: str, batch: BatchId) -> None:
+        """Count one routed request for the view ``key`` (lock held)."""
+        first = self._seen.get(key)
+        if first is None:
+            self._seen[key] = batch
+            self._dedup_misses += 1
+        elif first != batch:
+            self._dedup_hits += 1
 
     # -- serving -------------------------------------------------------------
     def get_batch_lease(
@@ -376,23 +382,70 @@ class ShardCoordinator(FileSystemProvider):
         epoch: int,
         iteration: int,
         tenant: str = DEFAULT_TENANT,
+        wait: bool = True,
     ) -> Tuple[BatchLease, Dict]:
-        """Admit, route, and serve one batch; lease holds the quota slot."""
-        ticket = self.admission.admit(tenant, nbytes=self._batch_bytes.get(task, 0))
-        try:
-            lease, metadata = self._serve(
-                task,
-                epoch,
-                iteration,
-                lambda shard: shard.get_batch_lease(task, epoch, iteration),
-            )
-        except BaseException:
-            ticket.release()
-            raise
+        """Admit, route, and serve one batch; lease holds the quota slot.
+
+        ``wait=False`` asks the same of admission, ring and owner shard
+        without waiting anywhere; see :meth:`_serve_ready`.
+        """
+        if wait:
+            ticket = self.admission.admit(tenant, nbytes=self._batch_bytes.get(task, 0))
+            try:
+                lease, metadata = self._serve(
+                    task,
+                    epoch,
+                    iteration,
+                    lambda shard: shard.get_batch_lease(task, epoch, iteration),
+                )
+            except BaseException:
+                ticket.release()
+                raise
+        else:
+            ticket, lease, metadata = self._serve_ready(task, epoch, iteration, tenant)
         lease.on_release = ticket.release
         with self._lock:
             self._batch_bytes[task] = lease.nbytes
         return lease, metadata
+
+    def _serve_ready(
+        self, task: str, epoch: int, iteration: int, tenant: str
+    ) -> Tuple[AdmissionTicket, BatchLease, Dict]:
+        """Serve from the owner shard if nothing on the way would wait.
+
+        :class:`NotReady` — with the books as if nobody had asked — when
+        a fault schedule is armed (its sites may sleep, and fail over),
+        the window's plan is not cached, the tenant would have to queue,
+        or the owner cannot serve at once.  The grant is the one thing
+        taken before the owner answers, and ``cancel`` takes it back
+        uncounted.  A served batch is then booked as :meth:`route` and
+        :meth:`_serve` book it.
+        """
+        if self.fault_schedule is not None:
+            raise NotReady("a fault schedule is armed")
+        assembly = self._assembly(task, epoch, iteration, wait=False)
+        if assembly is None:
+            raise NotReady("not a planned batch")  # the waiting path reports it
+        key = content_key(assembly.samples)
+        shard_id = self.ring.owner(key)
+        with self._lock:
+            shard = self._shards.get(shard_id)
+        if shard is None:
+            raise NotReady(f"owner {shard_id!r} is leaving the ring")
+        ticket = self.admission.admit(
+            tenant, nbytes=self._batch_bytes.get(task, 0), wait=False
+        )
+        try:
+            lease, metadata = shard.get_batch_lease(task, epoch, iteration, wait=False)
+        except BaseException:
+            ticket.cancel()
+            raise
+        with self._lock:
+            self._note_view_locked(key, (task, epoch, iteration))
+            self._routed[shard_id] = self._routed.get(shard_id, 0) + 1
+            self._served[shard_id] = self._served.get(shard_id, 0) + 1
+            self._last_shard_for_task[task] = shard_id
+        return ticket, lease, metadata
 
     def get_batch(
         self,

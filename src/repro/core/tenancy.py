@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.locks import make_condition
+from repro.core.dataplane import NotReady
 
 DEFAULT_TENANT = "default"
 
@@ -78,6 +79,15 @@ class AdmissionTicket:
             return
         self._released = True
         self._controller._release(self)
+
+    def cancel(self) -> None:
+        """Give the slot back *and* take the admission off the books: the
+        request is about to be admitted again (a ``wait=False`` attempt
+        that the shard then could not serve)."""
+        if self._released:
+            return
+        self._released = True
+        self._controller._release(self, uncount=True)
 
     def __enter__(self) -> "AdmissionTicket":
         return self
@@ -135,9 +145,16 @@ class AdmissionController:
 
     # -- admission -----------------------------------------------------------
     def admit(
-        self, tenant: str = DEFAULT_TENANT, nbytes: int = 0, timeout: Optional[float] = None
+        self,
+        tenant: str = DEFAULT_TENANT,
+        nbytes: int = 0,
+        timeout: Optional[float] = None,
+        wait: bool = True,
     ) -> AdmissionTicket:
-        """Block until ``tenant`` may start one request of ``nbytes``."""
+        """Block until ``tenant`` may start one request of ``nbytes``.
+
+        ``wait=False`` grants now or raises :class:`NotReady`, with
+        nothing counted (not a wait, not a timeout)."""
         nbytes = int(nbytes)
         with self._cond:
             quota = self._quotas.get(tenant, self.default_quota)
@@ -153,6 +170,8 @@ class AdmissionController:
             waited = False
             try:
                 while not self._grantable(me, nbytes):
+                    if not wait:
+                        raise NotReady(f"tenant {tenant!r} must queue for admission")
                     waited = True
                     if not self._cond.wait(timeout=timeout):
                         self._timeouts += 1
@@ -208,7 +227,7 @@ class AdmissionController:
 
         return min(candidates, key=deficit)
 
-    def _release(self, ticket: AdmissionTicket) -> None:
+    def _release(self, ticket: AdmissionTicket, uncount: bool = False) -> None:
         with self._cond:
             tenant = ticket.tenant
             inflight = self._inflight.get(tenant, 0)
@@ -218,6 +237,9 @@ class AdmissionController:
                 )
             self._inflight[tenant] = inflight - 1
             self._bytes[tenant] = max(0, self._bytes.get(tenant, 0) - ticket.nbytes)
+            if uncount:
+                self._served[tenant] -= 1
+                self._admitted_total -= 1
             self._cond.notify_all()
 
     # -- reporting -----------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.core import (
     BatchServerError,
     BatchSocketClient,
     BufferPool,
+    NotReady,
     PreprocessingEngine,
     build_plan_window,
     load_task_config,
@@ -499,16 +500,20 @@ def test_server_rejects_lease_unaware_sources():
 def test_tenantless_get_batch_reaches_the_source_with_three_arguments(tmp_path):
     """A GET_BATCH frame without ``tenant`` must call a plain source as
     ``get_batch_lease(task, epoch, iteration)`` — no fourth argument, not
-    even ``tenant=None`` — and one with a tenant must pass the keyword."""
+    even ``tenant=None`` — and one with a tenant must pass the keyword.
+    Each request is first asked inline with ``wait=False``; after a
+    ``NotReady`` the executor call carries no ``wait`` at all."""
     pool = BufferPool(name="arity")
     calls = []
 
     class Source:
-        def get_batch_lease(self, *args, **kwargs):
-            calls.append((args, kwargs))
+        def get_batch_lease(self, task, epoch, iteration, **kwargs):
+            calls.append(((task, epoch, iteration), kwargs))
+            if not kwargs.get("wait", True):
+                raise NotReady("always asks for the executor")
             lease = pool.acquire((2,), np.uint8)
             lease.array[:] = 1
-            return lease, {}
+            return lease, {"task": task, "epoch": epoch, "iteration": iteration}
 
     server = AsyncBatchServer(Source(), unix_path=str(tmp_path / "arity.sock"))
     server.start_background()
@@ -518,7 +523,14 @@ def test_tenantless_get_batch_reaches_the_source_with_three_arguments(tmp_path):
             client.get_batch("t", 3, 5, tenant="acme")
     finally:
         server.shutdown()
-    assert calls == [(("t", 3, 4), {}), (("t", 3, 5), {"tenant": "acme"})]
+    assert calls == [
+        (("t", 3, 4), {"wait": False}),
+        (("t", 3, 4), {}),
+        (("t", 3, 5), {"wait": False, "tenant": "acme"}),
+        (("t", 3, 5), {"tenant": "acme"}),
+    ]
+    assert server.report()["served_inline"] == 0
+    assert server.report()["served_executor"] == 2
     assert pool.leases_outstanding == 0
 
 
@@ -657,7 +669,9 @@ class _FlakySource:
         self.exc_factory = exc_factory
         self.calls = 0
 
-    def get_batch_lease(self, task, epoch, iteration):
+    def get_batch_lease(self, task, epoch, iteration, wait=True):
+        if not wait:
+            raise NotReady("a source that may block says so")
         self.calls += 1
         if self.calls <= self.fail_times:
             raise self.exc_factory()
@@ -716,12 +730,12 @@ def test_nonretryable_err_is_not_retried(tmp_path):
     assert source.pool.leases_outstanding == 0
 
 
-def _scripted_server(script_after_get_batch):
+def _scripted_server(script_after_get_batch, delay_s=0.0):
     """A fake batch server: real handshake, scripted GET_BATCH reply.
 
     Returns ``(address, thread)``; the server handles exactly one
-    connection, writes the scripted bytes in response to GET_BATCH, and
-    closes the connection.
+    connection, writes the scripted bytes (after ``delay_s``) in response
+    to GET_BATCH, and closes the connection.
     """
     import socket as socket_mod
 
@@ -743,8 +757,11 @@ def _scripted_server(script_after_get_batch):
             )
             ftype, _payload = wire.read_frame(stream)
             assert ftype == wire.FrameType.GET_BATCH
+            threading.Event().wait(delay_s)
             stream.write(script_after_get_batch)
             stream.flush()
+        except OSError:
+            pass  # the client hung up first: some tests want exactly that
         finally:
             stream.close()
             conn.close()
@@ -781,3 +798,59 @@ def test_corrupted_header_is_a_clean_corrupt_frame_error():
     finally:
         client.close()
         thread.join(timeout=5)
+
+
+def _batch_reply(task, epoch, iteration, fill):
+    """One well-formed BATCH frame answering ``(task, epoch, iteration)``."""
+    array = np.full((2, 3), fill, dtype=np.uint8)
+    metadata = {"task": task, "epoch": epoch, "iteration": iteration}
+    return b"".join(bytes(part) for part in wire.batch_frame_parts(metadata, array))
+
+
+def test_reply_for_another_key_is_refused_and_the_client_closes():
+    """The client must not hand request B the batch that answers A."""
+    address, thread = _scripted_server(_batch_reply("t", 0, 0, fill=7))
+    client = BatchSocketClient(address, timeout=10.0)
+    try:
+        with pytest.raises(wire.WireError, match="not the request"):
+            client.get_batch("t", 0, 1)
+        with pytest.raises(OSError):  # closed: unusable, never wrong
+            client.get_batch("t", 0, 1)
+    finally:
+        client.close()
+        thread.join(timeout=5)
+
+
+def test_late_reply_after_a_timeout_is_never_the_next_calls_batch():
+    """A reply landing after the client gave up used to sit on the open
+    socket, and the next call decoded it as its own."""
+    address, thread = _scripted_server(_batch_reply("t", 0, 0, fill=7), delay_s=0.5)
+    client = BatchSocketClient(address, timeout=0.1)
+    try:
+        with pytest.raises(OSError):  # socket.timeout
+            client.get_batch("t", 0, 0)
+        thread.join(timeout=5)  # the stale frame has been written by now
+        with pytest.raises(OSError):
+            client.get_batch("t", 0, 1)
+    finally:
+        client.close()
+        thread.join(timeout=5)
+
+
+def test_a_server_err_leaves_the_connection_usable(dataset, tmp_path):
+    """ERR is a complete, well-framed reply: nothing is left unread, so
+    the client stays open (only timeouts and wire errors close it)."""
+    plan = build_plan_window([make_config()], dataset, 0, 1, seed=5)
+    engine = PreprocessingEngine(plan, dataset, num_workers=0)
+    with engine:
+        server = serve(engine, tmp_path, name="err.sock")
+        try:
+            with BatchSocketClient(server.address) as client:
+                for _ in range(2):
+                    with pytest.raises(BatchServerError):
+                        client.get_batch("no-such-task", 0, 0)
+                key = sorted(plan.batches)[0]
+                _batch, metadata = client.get_batch(*key)
+                assert (metadata["task"], metadata["epoch"], metadata["iteration"]) == key
+        finally:
+            server.shutdown()

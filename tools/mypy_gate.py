@@ -18,6 +18,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import re
 import subprocess
@@ -144,6 +145,14 @@ def main(argv: List[str]) -> int:
         help="rewrite mypy-baseline.txt from the current tree",
     )
     options = parser.parse_args(argv)
+    if importlib.util.find_spec("mypy") is None:
+        # A gate that cannot run has not passed: say so in one line and
+        # fail, so "hand-checked" never stands in for a machine check.
+        print(
+            f"mypy gate: FAILED - mypy is not importable by {sys.executable}; "
+            "nothing was checked"
+        )
+        return 2
     strict = strict_tier()
     ratchet = ratchet_tier(options.update_baseline)
     return strict or ratchet
