@@ -14,11 +14,12 @@ This package implements a real codec with exactly those semantics:
   records, seek index),
 * :mod:`repro.codec.encoder` — I/P encoding with zlib entropy coding and
   temporal delta prediction,
-* :mod:`repro.codec.decoder` — dependency-aware decoding with statistics
-  (frames decoded vs frames requested, bytes read),
-* :mod:`repro.codec.incremental` — stateful decode reuse: a byte-budgeted
-  LRU of decoded anchors and a decoder that resumes from the nearest
-  cached anchor instead of the GOP keyframe,
+* :mod:`repro.codec.decoder` — the dependency rule of a decode
+  (``frames_to_decode``), its statistics (frames decoded vs frames
+  requested, bytes read) and the stateless face of the decoder,
+* :mod:`repro.codec.incremental` — the one decode walk, with stateful
+  reuse: a byte-budgeted LRU of decoded anchors and a decoder that
+  resumes from the nearest cached anchor instead of the GOP keyframe,
 * :mod:`repro.codec.model` — GOP/frame-type model and video metadata,
 * :mod:`repro.codec.signals` — metadata-only frame signals (frame type,
   anchor geometry, stored inter-frame delta magnitude) and the pure

@@ -11,7 +11,7 @@ Layout::
     +--------------------------------------------------------------+
     | index: num_frames x offset u64 (from start of records)       |
     +--------------------------------------------------------------+
-    | delta track: num_frames x f32 (v3+)                          |
+    | delta track: num_frames x f32                                |
     +--------------------------------------------------------------+
     | index_offset u64 | magic "SVCX"                              |
     +--------------------------------------------------------------+
@@ -20,7 +20,7 @@ The trailing index is what makes frame-accurate seeking possible, like the
 sample tables of an MP4: a decoder can jump straight to the keyframe of
 the GOP it needs instead of scanning the stream.
 
-The **delta track** (v3) stores, per frame, the mean absolute pixel delta
+The **delta track** stores, per frame, the mean absolute pixel delta
 against the *previous display-order frame*, measured by the encoder while
 it still holds the raw pixels.  It is the codec-level motion signal
 (Déjà Vu / CodecSight style) that near-duplicate reuse keys on: reading
@@ -34,16 +34,16 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.codec.model import FrameType, VideoMetadata
 
 MAGIC = b"SVC1"
 FOOTER_MAGIC = b"SVCX"
 VERSION = 3  # v2 added b_frames; v3 added the inter-frame delta track
-_READABLE_VERSIONS = (2, 3)  # v2 containers simply have no delta track
 
-#: Delta value meaning "no measurement": frame 0, or a v2 container.
+#: Delta value meaning "no measurement": frame 0, or a container written
+#: without measurements.
 UNKNOWN_DELTA = math.inf
 
 # magic, version, w, h, frames, gop, b_frames, fps, id_len
@@ -126,34 +126,31 @@ def write_container(
     return b"".join(parts)
 
 
-def read_container(data: bytes) -> Tuple[VideoMetadata, List[FrameRecord]]:
-    """Parse SVC1 bytes into metadata and per-frame payload locations."""
+def _read_layout(data: bytes) -> Tuple[Tuple[Any, ...], int]:
+    """The validated header fields and the index offset from the footer."""
     if len(data) < _HEADER_SIZE + _FOOTER_SIZE:
         raise ContainerError("container truncated")
-    (
-        magic,
-        version,
-        width,
-        height,
-        num_frames,
-        gop_size,
-        b_frames,
-        fps,
-        id_len,
-    ) = struct.unpack_from(_HEADER_FMT, data, 0)
-    if magic != MAGIC:
-        raise ContainerError(f"bad magic {magic!r}")
-    if version not in _READABLE_VERSIONS:
-        raise ContainerError(f"unsupported version {version}")
-    id_start = _HEADER_SIZE
-    video_id = data[id_start : id_start + id_len].decode()
-    records_start = id_start + id_len
-
+    header = struct.unpack_from(_HEADER_FMT, data, 0)
+    if header[0] != MAGIC:
+        raise ContainerError(f"bad magic {header[0]!r}")
+    if header[1] != VERSION:
+        raise ContainerError(f"unsupported version {header[1]}")
     index_offset, footer_magic = struct.unpack_from(
         _FOOTER_FMT, data, len(data) - _FOOTER_SIZE
     )
     if footer_magic != FOOTER_MAGIC:
         raise ContainerError(f"bad footer magic {footer_magic!r}")
+    return header, index_offset
+
+
+def read_container(data: bytes) -> Tuple[VideoMetadata, List[FrameRecord]]:
+    """Parse SVC1 bytes into metadata and per-frame payload locations."""
+    header, index_offset = _read_layout(data)
+    _, _, width, height, num_frames, gop_size, b_frames, fps, id_len = header
+    id_start = _HEADER_SIZE
+    video_id = data[id_start : id_start + id_len].decode()
+    records_start = id_start + id_len
+
     index_end = index_offset + 8 * num_frames
     if index_end > len(data) - _FOOTER_SIZE:
         raise ContainerError("index extends past footer")
@@ -185,28 +182,14 @@ def read_container(data: bytes) -> Tuple[VideoMetadata, List[FrameRecord]]:
     return metadata, records
 
 
-def read_delta_track(data: bytes) -> Optional[Tuple[float, ...]]:
+def read_delta_track(data: bytes) -> Tuple[float, ...]:
     """Read the per-frame delta-magnitude track without touching payloads.
 
-    Returns ``None`` for v2 containers (written before the track
-    existed).  The read is metadata-only: header + footer + the track
-    floats themselves — no frame payload is sliced or decompressed.
+    The read is metadata-only: header + footer + the track floats
+    themselves — no frame payload is sliced or decompressed.
     """
-    if len(data) < _HEADER_SIZE + _FOOTER_SIZE:
-        raise ContainerError("container truncated")
-    magic, version = struct.unpack_from("<4sH", data, 0)
-    if magic != MAGIC:
-        raise ContainerError(f"bad magic {magic!r}")
-    if version not in _READABLE_VERSIONS:
-        raise ContainerError(f"unsupported version {version}")
-    if version < 3:
-        return None
-    (num_frames,) = struct.unpack_from("<I", data, struct.calcsize("<4sHHH"))
-    index_offset, footer_magic = struct.unpack_from(
-        _FOOTER_FMT, data, len(data) - _FOOTER_SIZE
-    )
-    if footer_magic != FOOTER_MAGIC:
-        raise ContainerError(f"bad footer magic {footer_magic!r}")
+    header, index_offset = _read_layout(data)
+    num_frames = header[4]
     track_offset = index_offset + 8 * num_frames
     if track_offset + 4 * num_frames > len(data) - _FOOTER_SIZE:
         raise ContainerError("delta track extends past footer")

@@ -15,15 +15,12 @@ decode without performing it.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set
 
 import numpy as np
 
-from repro.codec.container import FrameRecord, read_container
-from repro.codec.encoder import bidirectional_predictor
-from repro.codec.model import FrameType, GopStructure, VideoMetadata
+from repro.codec.model import GopStructure, VideoMetadata
 
 
 def frames_to_decode(
@@ -72,112 +69,37 @@ class DecodeStats:
             return 0.0
         return self.frames_decoded / self.frames_requested
 
-    def merge(self, other: "DecodeStats") -> None:
-        self.frames_requested += other.frames_requested
-        self.frames_decoded += other.frames_decoded
-        self.frames_reused_from_anchor_cache += other.frames_reused_from_anchor_cache
-        self.frames_skipped_near_duplicate += other.frames_skipped_near_duplicate
-        self.bytes_read += other.bytes_read
-        self.decode_calls += other.decode_calls
-
 
 class Decoder:
     """Decodes frames from SVC1 bytes, tracking amplification stats.
 
-    The decoder is stateless between calls — like the on-demand baselines
-    in the paper, nothing decoded survives the call unless the caller
-    keeps it.  (SAND's whole contribution is to keep it, at the system
-    level, on the caller's behalf.)
+    Without ``anchor_cache`` the decoder is stateless between calls —
+    like the on-demand baselines in the paper, nothing decoded survives
+    the call unless the caller keeps it.  (SAND's whole contribution is
+    to keep it, at the system level, on the caller's behalf.)
 
-    Passing ``anchor_cache`` opts into the stateful path: every decode —
-    including :meth:`decode_all` — is delegated to an
-    :class:`~repro.codec.incremental.IncrementalDecoder` sharing this
-    decoder's stats, so full-video decodes warm the cache and sparse
-    re-accesses resume from cached anchors, byte-identically.
+    There is one decode walk: this class is an
+    :class:`~repro.codec.incremental.IncrementalDecoder` over the given
+    cache, or over a zero-budget one that can hold nothing.  With a
+    cache, full-video decodes warm it and sparse re-accesses resume from
+    cached anchors, byte-identically.
     """
 
     def __init__(self, data: bytes, anchor_cache=None, reuse_threshold: float = 0.0):
-        self._data = data
-        # Zero-copy payload access: slicing a memoryview does not copy
-        # the record bytes the way slicing ``bytes`` would.
-        self._view = memoryview(data)
-        metadata, records = read_container(data)
-        self.metadata: VideoMetadata = metadata
-        self._records: List[FrameRecord] = records
-        self.stats = DecodeStats()
-        self._anchor_cache = anchor_cache
-        self._reuse_threshold = reuse_threshold
-        self._incremental = None
+        # Local import: incremental.py imports this module.
+        from repro.codec.incremental import AnchorCache, IncrementalDecoder
 
-    def _incremental_decoder(self):
-        if self._incremental is None:
-            # Local import: incremental.py imports this module.
-            from repro.codec.incremental import AnchorCache, IncrementalDecoder
-
-            cache = self._anchor_cache
-            if cache is None:
-                # Near-dup reuse without a shared cache: a zero-budget
-                # cache keeps the stateful path otherwise stateless.
-                cache = AnchorCache(0)
-            self._incremental = IncrementalDecoder(
-                self._data,
-                cache=cache,
-                reuse_threshold=self._reuse_threshold,
-            )
-            # One stats object for both faces of the decoder.
-            self._incremental.stats = self.stats
-        return self._incremental
-
-    def _payload(self, index: int) -> bytes:
-        record = self._records[index]
-        payload = self._view[record.offset : record.offset + record.length]
-        self.stats.bytes_read += record.length
-        return zlib.decompress(payload)
-
-    def _as_array(self, raw: bytes) -> np.ndarray:
-        md = self.metadata
-        return np.frombuffer(raw, dtype=np.uint8).reshape(md.height, md.width, 3)
+        self._incremental = IncrementalDecoder(
+            data,
+            cache=anchor_cache if anchor_cache is not None else AnchorCache(0),
+            reuse_threshold=reuse_threshold,
+        )
+        self.metadata: VideoMetadata = self._incremental.metadata
+        self.stats: DecodeStats = self._incremental.stats
 
     def decode_frames(self, indices: Sequence[int]) -> Dict[int, np.ndarray]:
         """Decode the requested frames, plus their codec dependencies."""
-        if self._anchor_cache is not None or self._reuse_threshold > 0:
-            return self._incremental_decoder().decode_frames(indices)
-        wanted: Set[int] = set(indices)
-        md = self.metadata
-        gop = md.gop
-        plan = frames_to_decode(gop, wanted, md.num_frames)
-        self.stats.frames_requested += len(wanted)
-        self.stats.decode_calls += 1
-
-        # Pass 1: anchors, in order (each P references the previous anchor).
-        decoded: Dict[int, np.ndarray] = {}
-        for index in plan:
-            ftype = gop.frame_type(index, md.num_frames)
-            if ftype is FrameType.B:
-                continue
-            raw = self._as_array(self._payload(index))
-            self.stats.frames_decoded += 1
-            if ftype is FrameType.I:
-                decoded[index] = raw.copy()
-            else:  # P: delta against its reference anchor
-                reference = decoded.get(gop.reference_anchor(index, md.num_frames))
-                if reference is None:  # pragma: no cover - plan guarantees it
-                    raise ValueError(f"P frame {index} decoded without its anchor")
-                decoded[index] = reference + raw
-
-        # Pass 2: B frames, from their two (now decoded) anchors.
-        for index in plan:
-            if gop.frame_type(index, md.num_frames) is not FrameType.B:
-                continue
-            prev_idx = gop.prev_anchor(index)
-            next_idx = gop.next_anchor(index, md.num_frames)
-            assert next_idx is not None
-            predictor = bidirectional_predictor(decoded[prev_idx], decoded[next_idx])
-            raw = self._as_array(self._payload(index))
-            self.stats.frames_decoded += 1
-            decoded[index] = predictor + raw
-
-        return {index: decoded[index] for index in wanted}
+        return self._incremental.decode_frames(indices)
 
     def decode_all(self) -> Dict[int, np.ndarray]:
         return self.decode_frames(range(self.metadata.num_frames))

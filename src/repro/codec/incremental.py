@@ -1,15 +1,22 @@
-"""Stateful GOP-aware decode reuse: the anchor cache and incremental decoder.
+"""The SVC1 decoder: GOP-aware decode reuse over an anchor cache.
 
-The stateless :class:`~repro.codec.decoder.Decoder` re-decodes the full
-anchor chain from each touched GOP's keyframe on *every* call, so repeated
-sparse accesses to the same video (demand feeding racing
-pre-materialization, multi-task frame sharing, cache misses after
-``release_raw_frames``) pay the S3/Fig 3 amplification again and again.
+A decoder that keeps nothing re-decodes the full anchor chain from each
+touched GOP's keyframe on *every* call, so repeated sparse accesses to
+the same video (demand feeding racing pre-materialization, multi-task
+frame sharing, cache misses after ``release_raw_frames``) pay the S3/Fig 3
+amplification again and again.
 
 This module keeps the decoded *anchor* frames (I and P — the only frames
 anything depends on) in a byte-budgeted LRU keyed by
 ``(video_id, frame_index)``.  A second decode on the same video resumes
-from the nearest cached anchor instead of the GOP keyframe.
+from the nearest cached anchor instead of the GOP keyframe.  Over a
+zero-budget cache the same decoder is the stateless one.
+
+A decode call is **plan → inflate → reconstruct**.  Inflating the plan's
+payloads is bytes in, bytes out — no lock, cache or stats object — and
+``zlib`` releases the GIL, so the caller shares it with a few
+process-wide helper threads (:class:`_InflateHelpers`); everything that
+touches shared state stays on the caller's thread.
 
 :func:`frames_to_decode_with_cache` is the pure planning counterpart: it
 prices a decode against a set of cached anchors without performing it,
@@ -21,11 +28,14 @@ an empty cache it degrades exactly to
 
 from __future__ import annotations
 
+import os
 import zlib
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -38,15 +48,99 @@ from typing import (
 
 import numpy as np
 
-from repro.analysis.locks import make_rlock
+from repro.analysis.locks import make_lock, make_rlock
 from repro.analysis.sanitizers import buffer_sanitizer
-from repro.codec.container import FrameRecord, read_container, read_delta_track
+from repro.codec.container import (
+    ContainerError,
+    FrameRecord,
+    read_container,
+    read_delta_track,
+)
 from repro.codec.decoder import DecodeStats, frames_to_decode
 from repro.codec.encoder import bidirectional_predictor
 from repro.codec.model import FrameType, GopStructure, VideoMetadata
 from repro.codec.signals import FrameSignals
 
 DEFAULT_ANCHOR_CACHE_BYTES = 64 * 1024 * 1024
+
+# Work-sharing rule of the inflate step.  Waking a thread on another core
+# takes long enough that a plan cut in halves leaves the caller waiting
+# for a helper that is still waking, so the plan's frames go on one deque
+# that caller and helpers all pull from, a frame (~100 us of zlib) at a
+# time: whoever is awake does the work and nobody idles at the tail.  A
+# plan too short for a helper to arrive in time stays inline.
+_SHARE_FROM_FRAMES = 8
+_MAX_HELPERS = 3
+
+
+class _InflateHelpers:
+    """The process-wide helper threads of the inflate step.
+
+    Sized once, at first use: one helper per core of the process's
+    affinity mask beyond the caller's, at most ``_MAX_HELPERS``; a
+    process confined to one core has none and never starts a thread
+    (the pool itself starts its threads on demand).  Helpers are for
+    cores that would otherwise idle: every inflating decode call takes
+    a core off the count, and a call gets helpers only for the cores
+    still free — two decodes running side by side already fill two
+    cores, and a helper there only adds wake-ups and GIL hand-offs.
+    """
+
+    def __init__(self) -> None:
+        self._lock = make_lock("codec.inflate-helpers")
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._free_cores: Optional[int] = None  # None until first use
+
+    def share(self, drain: Callable[[], None], frames: int) -> List["Future[None]"]:
+        """Count the caller in and start ``drain`` on the helpers it may have."""
+        with self._lock:
+            if self._free_cores is None:
+                self._free_cores = len(os.sched_getaffinity(0))
+                if self._free_cores > 1:
+                    self._pool = ThreadPoolExecutor(
+                        min(self._free_cores - 1, _MAX_HELPERS),
+                        thread_name_prefix="sand-inflate",
+                    )
+            self._free_cores -= 1
+            spare = min(self._free_cores, _MAX_HELPERS)
+        tasks: List["Future[None]"] = []
+        if self._pool is not None and frames >= _SHARE_FROM_FRAMES:
+            try:
+                for _ in range(spare):
+                    tasks.append(self._pool.submit(drain))
+            except RuntimeError:
+                # The interpreter is exiting under a daemon thread's decode
+                # and its pools take no new work: the caller drains alone.
+                pass
+        return tasks
+
+    def settle(self, tasks: List["Future[None]"]) -> List[BaseException]:
+        """Count the caller out; cancel tasks that never started, join the
+        rest and return what they raised."""
+        with self._lock:
+            assert self._free_cores is not None
+            self._free_cores += 1
+        joined = [task.exception() for task in tasks if not task.cancel()]
+        return [failure for failure in joined if failure is not None]
+
+
+_HELPERS = _InflateHelpers()
+
+
+def _inflate(payload: memoryview, size: int, video_id: str, index: int) -> bytes:
+    """One frame record's payload as exactly ``size`` raw bytes."""
+    try:
+        raw = zlib.decompress(payload, 15, size)
+    except zlib.error as exc:
+        raise ContainerError(
+            f"video {video_id!r} frame {index}: payload does not inflate ({exc})"
+        ) from exc
+    if len(raw) != size:
+        raise ContainerError(
+            f"video {video_id!r} frame {index}: payload inflates to "
+            f"{len(raw)} bytes, expected {size}"
+        )
+    return raw
 
 
 class AnchorOracle(Protocol):
@@ -238,35 +332,46 @@ class AnchorCache:
                 stats.misses += misses
 
     def put(self, video_id: str, index: int, frame: np.ndarray) -> bool:
-        """Insert one decoded anchor; returns False when it cannot fit.
+        """Insert one decoded anchor; returns False when it cannot fit."""
+        with self._lock:
+            self.put_many(video_id, [(index, frame)])
+            return (video_id, index) in self._entries
 
-        The inserted array is frozen (``writeable=False``): entries are
+    def put_many(
+        self, video_id: str, frames: Iterable[Tuple[int, np.ndarray]]
+    ) -> None:
+        """Insert decoded anchors in order: one lock hold per decode call.
+
+        An inserted array is frozen (``writeable=False``): entries are
         shared zero-copy with every future hit, so the bytes must never
         change after insertion.  The flag travels with the object — the
         decoder's own handle is this same array — and every view
-        :meth:`get`/:meth:`snapshot` hand out inherits it.
+        :meth:`get`/:meth:`snapshot` hand out inherits it.  Each entry is
+        inserted and *then* evicted for, one at a time, so hits,
+        evictions and LRU/Belady victims are those of the same sequence
+        of :meth:`put` calls.
         """
         with self._lock:
-            key = (video_id, index)
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                return True
-            if frame.nbytes > self.budget_bytes:
-                return False
-            if frame.flags.writeable:
-                frame.setflags(write=False)
             sanitizer = buffer_sanitizer()
-            if sanitizer is not None:
-                sanitizer.guard(frame, f"anchor-cache entry {video_id}[{index}]")
-            self._entries[key] = frame
-            self._by_video.setdefault(video_id, set()).add(index)
-            self._bytes += frame.nbytes
-            # Evicting *after* insertion makes admission clairvoyant when
-            # an oracle is attached: the new entry competes on next-use
-            # distance and may itself be the victim.
-            while self._bytes > self.budget_bytes:
-                self._evict_one()
-            return key in self._entries
+            for index, frame in frames:
+                key = (video_id, index)
+                if key in self._entries:
+                    self._entries.move_to_end(key)
+                    continue
+                if frame.nbytes > self.budget_bytes:
+                    continue
+                if frame.flags.writeable:
+                    frame.setflags(write=False)
+                if sanitizer is not None:
+                    sanitizer.guard(frame, f"anchor-cache entry {video_id}[{index}]")
+                self._entries[key] = frame
+                self._by_video.setdefault(video_id, set()).add(index)
+                self._bytes += frame.nbytes
+                # Evicting *after* insertion makes admission clairvoyant
+                # when an oracle is attached: the new entry competes on
+                # next-use distance and may itself be the victim.
+                while self._bytes > self.budget_bytes:
+                    self._evict_one()
 
     def drop_video(self, video_id: str) -> int:
         """Forget every anchor of one video (e.g. dataset eviction)."""
@@ -344,14 +449,13 @@ class AnchorCache:
 class IncrementalDecoder:
     """SVC1 decoder that resumes from cached anchors instead of keyframes.
 
-    Drop-in replacement for :class:`~repro.codec.decoder.Decoder` (same
-    ``metadata`` / ``stats`` / ``decode_frames`` surface) that consults
-    an :class:`AnchorCache` before planning: anchors already in the cache
-    are not re-decoded, and every freshly decoded anchor is published
-    back so *future* calls — on this decoder or any other sharing the
-    cache — reuse it.  Output pixels are byte-identical to the stateless
-    decoder's (the cache stores the exact arrays the decode produced, and
-    P/B reconstruction is deterministic given the reference pixels).
+    Consults an :class:`AnchorCache` before planning: anchors already in
+    the cache are not re-decoded, and every freshly decoded anchor is
+    published back so *future* calls — on this decoder or any other
+    sharing the cache — reuse it.  Output pixels are byte-identical to a
+    frame-by-frame walk from the keyframe (the cache stores the exact
+    arrays the decode produced, and P/B reconstruction is deterministic
+    given the reference pixels).
 
     With ``reuse_threshold > 0`` the decoder additionally collapses
     near-duplicate frames using the container's stored delta track: a
@@ -375,6 +479,8 @@ class IncrementalDecoder:
         if reuse_threshold < 0:
             raise ValueError(f"reuse_threshold must be >= 0, got {reuse_threshold}")
         self._data = data
+        # Zero-copy payload access: slicing a memoryview does not copy
+        # the record bytes the way slicing ``bytes`` would.
         self._view = memoryview(data)
         metadata, records = read_container(data)
         self.metadata: VideoMetadata = metadata
@@ -393,15 +499,46 @@ class IncrementalDecoder:
             )
         return self._signals
 
-    def _payload(self, index: int) -> bytes:
-        record = self._records[index]
-        payload = self._view[record.offset : record.offset + record.length]
-        self.stats.bytes_read += record.length
-        return zlib.decompress(payload)
+    def _inflate_plan(self, plan: Sequence[int]) -> List[bytes]:
+        """The plan's payloads as raw frame bytes, in plan order.
 
-    def _as_array(self, raw: bytes) -> np.ndarray:
+        Pure bytes in, bytes out: nothing here touches a lock, the cache
+        or the stats, which is what lets helper threads take part of it
+        while the caller holds whatever locks it holds.  The caller pulls
+        frames too, cancels helper tasks that never started and joins
+        those that did, so nobody waits on queued work.  A payload that
+        does not inflate to one frame raises :class:`ContainerError` here,
+        on the caller's thread, whoever hit it; the remaining frames are
+        abandoned.
+        """
         md = self.metadata
-        return np.frombuffer(raw, dtype=np.uint8).reshape(md.height, md.width, 3)
+        size = md.height * md.width * 3
+        records = [self._records[index] for index in plan]
+        payloads = [self._view[r.offset : r.offset + r.length] for r in records]
+        count = len(plan)
+        raws: List[bytes] = [b""] * count
+        slots = deque(range(count))
+
+        def drain() -> None:
+            try:
+                while True:
+                    try:
+                        slot = slots.popleft()
+                    except IndexError:
+                        return
+                    raws[slot] = _inflate(payloads[slot], size, md.video_id, plan[slot])
+            except BaseException:
+                slots.clear()  # one bad payload fails the call: stop the others
+                raise
+
+        tasks = _HELPERS.share(drain, count)
+        try:
+            drain()
+        finally:
+            failures = _HELPERS.settle(tasks)
+        if failures:
+            raise failures[0]
+        return raws
 
     def decode_frames(self, indices: Sequence[int]) -> Dict[int, np.ndarray]:
         """Decode the requested frames, reusing cached anchor state."""
@@ -421,54 +558,58 @@ class IncrementalDecoder:
         targets: Set[int] = set(effective.values())
         anchors = self.cache.snapshot(md.video_id)
         plan = frames_to_decode_with_cache(gop, targets, md.num_frames, anchors)
-        plan_set = set(plan)
         stateless = frames_to_decode(gop, targets, md.num_frames)
-        self.stats.frames_requested += len(wanted)
-        self.stats.decode_calls += 1
-        reused = sum(1 for index in stateless if index not in plan_set)
-        self.stats.frames_reused_from_anchor_cache += reused
-        missed_anchors = sum(1 for index in plan if gop.is_anchor(index))
-        self.cache.note_reuse(md.video_id, reused, misses=missed_anchors)
+        skipped = 0
         if targets != wanted:
             # Decode passes saved by the collapse alone (cache-independent):
             # full plan for the raw request minus full plan for the targets.
-            full = frames_to_decode(gop, wanted, md.num_frames)
-            self.stats.frames_skipped_near_duplicate += len(full) - len(stateless)
+            skipped = len(frames_to_decode(gop, wanted, md.num_frames)) - len(stateless)
 
-        # Seed the working set with every cached anchor of this video:
-        # the plan's P/B references outside the plan resolve from here.
+        raws = self._inflate_plan(plan)
+
+        # Reconstruct, one walk over the plan (sorted, so every reference
+        # precedes its dependants).  The working set starts from the
+        # cached anchors: references outside the plan resolve from there.
+        # Frame kinds follow GopStructure.frame_type: offset 0 in the GOP
+        # is I, other multiples of the anchor step are P off the previous
+        # anchor, the rest are B between two anchors — or a trailing P
+        # where the GOP or the video ends before the next anchor.
         decoded: Dict[int, np.ndarray] = dict(anchors)
-
-        # Pass 1: anchors, in order (each P references the previous anchor).
-        for index in plan:
-            ftype = gop.frame_type(index, md.num_frames)
-            if ftype is FrameType.B:
-                continue
-            raw = self._as_array(self._payload(index))
-            self.stats.frames_decoded += 1
-            if ftype is FrameType.I:
-                pixels = raw
-            else:  # P: delta against its reference anchor
-                reference = decoded.get(gop.reference_anchor(index, md.num_frames))
-                if reference is None:  # pragma: no cover - plan guarantees it
-                    raise ValueError(f"P frame {index} decoded without its anchor")
-                pixels = reference + raw
+        fresh: List[Tuple[int, np.ndarray]] = []
+        between: List[Tuple[int, int, int, np.ndarray]] = []
+        size, step = gop.size, gop.anchor_step
+        shape = (md.height, md.width, 3)
+        for index, raw in zip(plan, raws):
+            residual = np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+            offset = index % size
+            past_anchor = offset % step
+            if past_anchor == 0:
+                pixels = residual if offset == 0 else decoded[index - step] + residual
+                fresh.append((index, pixels))
+            else:
+                prev_idx = index - past_anchor
+                next_idx = prev_idx + step
+                if next_idx < min(index - offset + size, md.num_frames):
+                    between.append((index, prev_idx, next_idx, residual))
+                    continue
+                pixels = decoded[prev_idx] + residual
             decoded[index] = pixels
-            if gop.is_anchor(index):
-                self.cache.put(md.video_id, index, pixels)
-
-        # Pass 2: B frames, from their two (now available) anchors.
-        for index in plan:
-            if gop.frame_type(index, md.num_frames) is not FrameType.B:
-                continue
-            prev_idx = gop.prev_anchor(index)
-            next_idx = gop.next_anchor(index, md.num_frames)
-            assert next_idx is not None
+        for index, prev_idx, next_idx, residual in between:
             predictor = bidirectional_predictor(decoded[prev_idx], decoded[next_idx])
-            raw = self._as_array(self._payload(index))
-            self.stats.frames_decoded += 1
-            decoded[index] = predictor + raw
+            decoded[index] = predictor + residual
 
+        self.cache.put_many(md.video_id, fresh)
+        # A plan is a subset of the stateless plan: the difference is
+        # what the cached anchors saved.
+        reused = len(stateless) - len(plan)
+        self.cache.note_reuse(md.video_id, reused, misses=len(fresh))
+        stats = self.stats
+        stats.frames_requested += len(wanted)
+        stats.decode_calls += 1
+        stats.frames_decoded += len(plan)
+        stats.frames_reused_from_anchor_cache += reused
+        stats.frames_skipped_near_duplicate += skipped
+        stats.bytes_read += sum(self._records[index].length for index in plan)
         return {index: decoded[effective[index]] for index in wanted}
 
     def decode_all(self) -> Dict[int, np.ndarray]:

@@ -21,6 +21,7 @@ from repro.codec import (
 )
 from repro.codec.container import read_container, write_container
 from repro.codec.encoder import encode_frames
+from tests.reference_decoder import reference_decode
 
 
 def make_video(video_id="vid0", frames=25, gop=10, w=32, h=24):
@@ -280,7 +281,7 @@ def test_incremental_decoder_matches_stateless(frames, gop, data):
     )
     for wanted in calls:
         got = inc.decode_frames(wanted)
-        reference = Decoder(encoded).decode_frames(wanted)
+        reference = reference_decode(encoded, wanted)
         for idx in set(wanted):
             assert np.array_equal(got[idx], reference[idx]), idx
 

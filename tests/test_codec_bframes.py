@@ -17,6 +17,7 @@ from repro.codec import (
     frames_to_decode,
     frames_to_decode_with_cache,
 )
+from tests.reference_decoder import reference_decode
 
 
 def make_video(frames=35, gop=12, b=2, w=32, h=24, vid="bv"):
@@ -165,7 +166,7 @@ def test_incremental_decoder_matches_stateless_with_b_frames(frames, gop, data):
     )
     for wanted in calls:
         got = inc.decode_frames(wanted)
-        reference = Decoder(encoded).decode_frames(wanted)
+        reference = reference_decode(encoded, wanted)
         for idx in set(wanted):
             assert np.array_equal(got[idx], reference[idx]), (b, idx)
     # Reuse never decodes more than the stateless decoder would have.

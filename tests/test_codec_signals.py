@@ -39,7 +39,7 @@ def make_video(vid="sig", frames=48, gop=12, b=3, w=32, h=24, motion=1.0, noise=
 
 
 def write_v2_container(metadata, records):
-    """Hand-roll a v2 (pre-delta-track) container for compat tests."""
+    """Hand-roll a v2 (pre-delta-track) container: nothing writes or reads one."""
     video_id = metadata.video_id.encode()
     parts = [
         struct.pack(
@@ -102,14 +102,15 @@ def test_write_container_rejects_wrong_delta_count():
         write_container(md, [(FrameType.I, b"a"), (FrameType.P, b"b")], deltas=[1.0])
 
 
-def test_v2_container_reads_without_delta_track():
+def test_v2_container_is_rejected():
     md = VideoMetadata("old", width=8, height=8, num_frames=2, gop_size=2)
     data = write_v2_container(md, [(FrameType.I, b"aa"), (FrameType.P, b"b")])
-    md2, recs = read_container(data)
-    assert md2 == md and len(recs) == 2
-    assert read_delta_track(data) is None
-    # Signals degrade gracefully: unmeasured deltas never match a threshold.
-    signals = FrameSignals.from_container(data)
+    for reader in (read_container, read_delta_track, FrameSignals.from_container):
+        with pytest.raises(ContainerError, match="unsupported version 2"):
+            reader(data)
+    # Signals built without a track degrade gracefully: unmeasured deltas
+    # never match a threshold.
+    signals = FrameSignals(md)
     assert not signals.has_deltas
     assert signals.delta(1) == UNKNOWN_DELTA
     assert signals.effective_frame(1, 1e9) == 1

@@ -14,7 +14,6 @@ import pytest
 
 from repro.codec import (
     AnchorCache,
-    Decoder,
     IncrementalDecoder,
     SyntheticVideoSource,
     VideoMetadata,
@@ -41,6 +40,7 @@ from repro.faults import (
 )
 from repro.storage import RetryPolicy
 from repro.storage.local import LocalStore
+from tests.reference_decoder import reference_decode
 
 FAST_RETRY = RetryPolicy(max_retries=3, base_delay_s=0.0, max_delay_s=0.0)
 
@@ -272,7 +272,7 @@ def test_decoder_near_dup_output_is_effective_frame(lowmo_dataset):
     )
     wanted = list(range(48))
     out = dec.decode_frames(wanted)
-    reference = Decoder(data).decode_frames(wanted)
+    reference = reference_decode(data, wanted)
     eff = dec.signals.effective_map(LOW_MOTION_THRESHOLD)
     collapsed = 0
     for i in wanted:
@@ -303,7 +303,7 @@ def test_zero_threshold_decoder_is_byte_identical():
     out = IncrementalDecoder(
         data, cache=AnchorCache(10**8), reuse_threshold=0.0
     ).decode_frames(range(48))
-    reference = Decoder(data).decode_frames(range(48))
+    reference = reference_decode(data, range(48))
     for i in range(48):
         assert np.array_equal(out[i], reference[i])
 
