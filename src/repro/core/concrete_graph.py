@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.augment.pipeline import ResolvedStep
 from repro.codec.decoder import frames_to_decode
@@ -43,7 +43,7 @@ from repro.core.coordination import (
     FramePoolCoordinator,
     SharedWindowSampler,
     TaskRequirement,
-    stable_rng,
+    deferred_rng,
 )
 from repro.sim.costs import CostModel
 
@@ -115,18 +115,21 @@ class VideoGraph:
         self.wanted_frames: set[int] = set()
 
     # -- construction -----------------------------------------------------------
-    def add_node(self, node: ObjectNode) -> ObjectNode:
-        """Insert or merge; merging bumps ref_count and unions uses."""
-        existing = self.nodes.get(node.key)
-        if existing is None:
-            self.nodes[node.key] = node
-            self._children.setdefault(node.key, [])
-            for parent in node.parents:
-                self._children.setdefault(parent, []).append(node.key)
-            node.ref_count = 1
-            return node
-        existing.ref_count += 1
+    def merge(self, key: str) -> Optional[ObjectNode]:
+        """The node already under ``key``, with one more reference — asked
+        before a node is constructed, because most additions are merges."""
+        existing = self.nodes.get(key)
+        if existing is not None:
+            existing.ref_count += 1
         return existing
+
+    def add_node(self, node: ObjectNode) -> None:
+        """Insert a node :meth:`merge` did not find."""
+        self.nodes[node.key] = node
+        self._children.setdefault(node.key, [])
+        for parent in node.parents:
+            self._children.setdefault(parent, []).append(node.key)
+        node.ref_count = 1
 
     # -- queries -----------------------------------------------------------------
     def children(self, key: str) -> List[str]:
@@ -328,6 +331,7 @@ def build_plan_window(
     coordinate_spatial: Optional[bool] = None,
     cost_model: Optional[CostModel] = None,
     max_iterations_per_epoch: Optional[int] = None,
+    between_videos: Optional[Callable[[], None]] = None,
 ) -> MaterializationPlan:
     """Build the unified concrete plan for ``k`` epochs across ``tasks``.
 
@@ -339,6 +343,8 @@ def build_plan_window(
     ``coordinate_temporal`` controls the shared frame pool and epoch
     schedule, ``coordinate_spatial`` the shared crop windows and
     branch/param agreement; both default to ``coordinated``.
+    ``between_videos`` is called after each video of each batch is
+    planned — where a background build yields to more urgent work.
     """
     if not tasks:
         raise ValueError("need at least one task")
@@ -392,6 +398,8 @@ def build_plan_window(
                         assembly,
                         seed,
                     )
+                    if between_videos is not None:
+                        between_videos()
     return plan
 
 
@@ -421,6 +429,7 @@ def _add_video_samples(
     md = graph.metadata
     mp = md.megapixels
     frame_bytes = cm.compressed_frame_bytes(mp)
+    decode_share = cm.cpu_decode_s(1, mp)
     task = config.tag
 
     for sample_idx in range(config.sampling.samples_per_video):
@@ -431,20 +440,21 @@ def _add_video_samples(
 
         # Frame nodes (merged by index across tasks/epochs in the window).
         frame_keys = []
-        decode_share = cm.cpu_decode_s(1, mp)
         for index in indices:
-            node = graph.add_node(
-                ObjectNode(
-                    key=f"frame:{video_id}:{index}",
-                    kind="frame",
-                    size_bytes=frame_bytes,
-                    parents=(graph.root_key,),
-                    op_name="decode",
-                    op_cost_s=decode_share,
-                    frame_index=index,
+            key = f"frame:{video_id}:{index}"
+            if graph.merge(key) is None:
+                graph.add_node(
+                    ObjectNode(
+                        key=key,
+                        kind="frame",
+                        size_bytes=frame_bytes,
+                        parents=(graph.root_key,),
+                        op_name="decode",
+                        op_cost_s=decode_share,
+                        frame_index=index,
+                    )
                 )
-            )
-            frame_keys.append(node.key)
+            frame_keys.append(key)
 
         # Resolve the augmentation pipeline with coordinated sampling.
         # Op params flow through the shared-window sampler; branch picks
@@ -455,9 +465,9 @@ def _add_video_samples(
             video_id, epoch, sample_idx, task=task, iteration=iteration
         )
         if windows.coordinated:
-            branch_rng = stable_rng(seed, "branch", video_id, epoch, sample_idx)
+            branch_rng = deferred_rng(seed, "branch", video_id, epoch, sample_idx)
         else:
-            branch_rng = stable_rng(
+            branch_rng = deferred_rng(
                 seed, "branch", video_id, epoch, sample_idx, task, iteration
             )
         context = {"iteration": step, "epoch": epoch}
@@ -504,55 +514,70 @@ def _add_sample(
     frame_steps = [s for s in steps if s.op.scope == "frame"]
     clip_steps = [s for s in steps if s.op.scope != "frame"]
 
-    aug_leaf_keys: List[str] = []
-    final_shape = (1, md.height, md.width, 3)
-    for index, frame_key in zip(indices, frame_keys):
-        parent_key = frame_key
-        shape = (1, md.height, md.width, 3)
-        prefix: List[Tuple[str, str, str]] = []
-        for step in frame_steps:
-            prefix.append(step.key)
-            out_shape = step.op.output_shape(shape, step.params)
-            in_mp = shape[1] * shape[2] / 1e6
-            out_mp = out_shape[1] * out_shape[2] / 1e6
-            key = f"aug:{graph.video_id}:{index}:{_short_hash(*prefix)}"
-            node = graph.add_node(
-                ObjectNode(
-                    key=key,
-                    kind="aug",
-                    size_bytes=cm.compressed_frame_bytes(out_mp),
-                    parents=(parent_key,),
-                    op_name=step.op.name,
-                    op_cost_s=cm.cpu_aug_s(1, in_mp, 1) * step.op.cost_weight,
-                    clip_shape=out_shape,
-                    op_args=step.key,
-                )
+    # Everything about a depth of the chain but the frame index is the
+    # same for every frame of the sample: work it out once.
+    shape = (1, md.height, md.width, 3)
+    prefix: List[Tuple[str, str, str]] = []
+    chain = []
+    for step in frame_steps:
+        prefix.append(step.key)
+        out_shape = step.op.output_shape(shape, step.params)
+        in_mp = shape[1] * shape[2] / 1e6
+        out_mp = out_shape[1] * out_shape[2] / 1e6
+        chain.append(
+            (
+                _short_hash(*prefix),
+                cm.compressed_frame_bytes(out_mp),
+                cm.cpu_aug_s(1, in_mp, 1) * step.op.cost_weight,
+                out_shape,
+                step,
             )
-            parent_key = node.key
-            shape = out_shape
+        )
+        shape = out_shape
+    final_shape = shape
+
+    aug_leaf_keys: List[str] = []
+    for index, parent_key in zip(indices, frame_keys):
+        for prefix_hash, size_bytes, op_cost_s, out_shape, step in chain:
+            key = f"aug:{graph.video_id}:{index}:{prefix_hash}"
+            if graph.merge(key) is None:
+                graph.add_node(
+                    ObjectNode(
+                        key=key,
+                        kind="aug",
+                        size_bytes=size_bytes,
+                        parents=(parent_key,),
+                        op_name=step.op.name,
+                        op_cost_s=op_cost_s,
+                        clip_shape=out_shape,
+                        op_args=step.key,
+                    )
+                )
+            parent_key = key
         aug_leaf_keys.append(parent_key)
-        final_shape = shape
 
     # The sample leaf groups the augmented frames and applies clip-scoped
     # ops; its key covers the full chain so identical samples merge.
     chain_hash = _short_hash(*(s.key for s in steps))
     sample_key = f"sample:{graph.video_id}:{frames_hash}:{chain_hash}"
-    out_mp = final_shape[1] * final_shape[2] / 1e6
-    clip_cost = sum(
-        cm.cpu_aug_s(len(indices), out_mp, 1) * s.op.cost_weight for s in clip_steps
-    )
-    sample = graph.add_node(
-        ObjectNode(
-            key=sample_key,
-            kind="sample",
-            size_bytes=cm.compressed_frame_bytes(out_mp) * len(indices),
-            parents=tuple(aug_leaf_keys),
-            op_name="collate",
-            op_cost_s=len(indices) * out_mp * cm.batch_assemble_ms_per_mp / 1e3
-            + clip_cost,
-            clip_shape=(len(indices),) + final_shape[1:],
-            frame_indices=tuple(indices),
-            clip_ops=tuple(s.key for s in clip_steps),
+    if graph.merge(sample_key) is None:
+        out_mp = final_shape[1] * final_shape[2] / 1e6
+        clip_cost = sum(
+            cm.cpu_aug_s(len(indices), out_mp, 1) * s.op.cost_weight
+            for s in clip_steps
         )
-    )
-    return sample.key
+        graph.add_node(
+            ObjectNode(
+                key=sample_key,
+                kind="sample",
+                size_bytes=cm.compressed_frame_bytes(out_mp) * len(indices),
+                parents=tuple(aug_leaf_keys),
+                op_name="collate",
+                op_cost_s=len(indices) * out_mp * cm.batch_assemble_ms_per_mp / 1e3
+                + clip_cost,
+                clip_shape=(len(indices),) + final_shape[1:],
+                frame_indices=tuple(indices),
+                clip_ops=tuple(s.key for s in clip_steps),
+            )
+        )
+    return sample_key

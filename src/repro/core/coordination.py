@@ -32,11 +32,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
-from repro.augment.ops import AugmentOp, ClipShape, Params, stable_params_key
+from repro.augment.ops import AugmentOp, ClipShape, Params
 from repro.augment.pipeline import ParamSampler
 from repro.core.config import TaskConfig
 
@@ -46,6 +46,31 @@ def stable_rng(*parts: object) -> np.random.Generator:
     text = "\x1f".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+
+
+class _DeferredRng:
+    def __init__(self, parts: Tuple[object, ...]):
+        self._parts = parts
+        self._rng: Optional[np.random.Generator] = None
+
+    def __getattr__(self, name: str) -> Any:
+        rng = self.__dict__["_rng"]
+        if rng is None:
+            rng = self._rng = stable_rng(*self._parts)
+        return getattr(rng, name)
+
+
+def deferred_rng(*parts: object) -> np.random.Generator:
+    """``stable_rng(*parts)``, constructed when first drawn from.
+
+    Planning keys an RNG for every decision a sample *might* make (a
+    branch pick, each op's params), and most are handed to code that
+    draws nothing — a pipeline without random branches, a deterministic
+    op, a crop placed inside the shared window.  Constructing a numpy
+    Generator costs more than everything else such a decision does, so
+    it waits for the first attribute anyone reads.
+    """
+    return cast(np.random.Generator, _DeferredRng(parts))
 
 
 @dataclass(frozen=True)
@@ -111,17 +136,23 @@ class FramePoolCoordinator:
         max_clip = max(r.clip_span for r in requirements)
         max_samples = max(r.samples_per_video for r in requirements)
         self.max_span = max_clip + (max_samples - 1) * (max_clip // 2 + self.grid)
+        # Every task and sample of a (video, epoch) asks for the same pool.
+        self._pools: Dict[Tuple[str, int, int], PoolSelection] = {}
 
     # -- pool construction -------------------------------------------------------
     def pool_for(self, video_id: str, epoch: int, num_frames: int) -> PoolSelection:
         """The shared pool window for one (video, epoch)."""
-        span = min(self.max_span, num_frames)
-        rng = stable_rng(self.seed, "pool", video_id, epoch)
-        latest = num_frames - span
-        # Keep the pool start on the grid so every task's stride pattern
-        # lands on pooled positions.
-        start = int(rng.integers(0, latest // self.grid + 1)) * self.grid
-        return PoolSelection(start=start, grid=self.grid, span=span)
+        pool = self._pools.get((video_id, epoch, num_frames))
+        if pool is None:
+            span = min(self.max_span, num_frames)
+            rng = stable_rng(self.seed, "pool", video_id, epoch)
+            latest = num_frames - span
+            # Keep the pool start on the grid so every task's stride pattern
+            # lands on pooled positions.
+            start = int(rng.integers(0, latest // self.grid + 1)) * self.grid
+            pool = PoolSelection(start=start, grid=self.grid, span=span)
+            self._pools[(video_id, epoch, num_frames)] = pool
+        return pool
 
     # -- per-task selection ------------------------------------------------------
     def select(
@@ -267,9 +298,7 @@ class SharedWindowSampler:
             op: AugmentOp, clip_shape: ClipShape, rng: np.random.Generator
         ) -> Params:
             del rng  # all randomness is re-derived deterministically
-            op_rng = stable_rng(
-                self.seed, "op", *context, op.name, stable_params_key(op.config)
-            )
+            op_rng = deferred_rng(self.seed, "op", *context, op.name, op.config_key)
             if not op.spatial_window:
                 return op.sample_params(op_rng, clip_shape)
             if not self.coordinated or self.max_window_hw is None:

@@ -531,6 +531,12 @@ class PreprocessingEngine:
     def memory_pressure(self) -> bool:
         return self._memory_fraction() >= self.scheduler.memory_threshold
 
+    def foreground_idle(self) -> bool:
+        """No demand or prefetch assembly is running: what the lowest
+        priority work — a pre-materialization claim, the service's
+        plan-ahead build — waits for."""
+        return self._work_gate.clear_above(WorkClass.PREMATERIALIZE)
+
     def prefetch_queue_depth(self) -> int:
         """Finished speculative batches still queued (0 when prefetch is off)."""
         return self._prefetcher.queue_depth() if self._prefetcher is not None else 0
@@ -685,7 +691,7 @@ class PreprocessingEngine:
     def _worker_loop(self) -> None:
         while not self._stop.is_set():
             # Claim-time priority: defer to running demand/prefetch work.
-            if not self._work_gate.clear_above(WorkClass.PREMATERIALIZE):
+            if not self.foreground_idle():
                 if self._stop.wait(timeout=0.002):
                     return
                 continue

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.locks import make_lock
+from repro.analysis.sanitizers import buffer_sanitizer
 from repro.core.concrete_graph import BatchAssembly, MaterializationPlan
 from repro.core.pruning import PruningOutcome
 
@@ -48,7 +49,8 @@ class WorkGate:
 
     ``enter``/``exit`` bracket a unit of running work and never block.
     Lower-priority claim loops call :meth:`clear_above` before taking
-    new work: a pre-materialization worker defers while any demand or
+    new work: a pre-materialization worker — and, between two videos,
+    the service's plan-ahead builder — defers while any demand or
     prefetch assembly runs, and a prefetch worker defers while demand
     feeding runs.  Work already in flight is never preempted — priority
     is enforced purely at claim time, which keeps the gate trivially
@@ -65,7 +67,19 @@ class WorkGate:
 
     def exit(self, work_class: WorkClass) -> None:
         with self._lock:
-            self._running[work_class] = max(0, self._running[work_class] - 1)
+            balanced = self._running[work_class] > 0
+            if balanced:
+                self._running[work_class] -= 1
+        if not balanced:
+            # Never raise on the serving path; but whoever waits on the
+            # gate (plan-ahead parks behind it) trusts its counts, so an
+            # exit nobody entered is a finding, not something to clamp away.
+            sanitizer = buffer_sanitizer()
+            if sanitizer is not None:
+                sanitizer.note_leak(
+                    f"work-gate imbalance: exit({work_class.name}) without a "
+                    f"matching enter"
+                )
 
     def running(self, work_class: WorkClass) -> int:
         with self._lock:
@@ -125,7 +139,8 @@ def build_jobs(
                 continue
             # Walk up from the leaf to the frontier nodes it descends from.
             graph, cached = plan.graphs[video_id], pruning.frontier_of(video_id)
-            stack, seen = [leaf_key], set()
+            stack: List[str] = [leaf_key]
+            seen: Set[str] = set()
             while stack:
                 current = stack.pop()
                 if current in seen:
@@ -185,7 +200,7 @@ class MaterializationScheduler:
             return SchedulingMode.SJF
         return self.base_mode
 
-    def priority_key(self, job: VideoJob, current_step: int) -> Tuple:
+    def priority_key(self, job: VideoJob, current_step: int) -> Tuple[int, ...]:
         mode = self.current_mode()
         if mode is SchedulingMode.FIFO:
             return (self._arrival[job.video_id],)

@@ -33,6 +33,9 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+import weakref
+from functools import partial
 from pathlib import Path
 from typing import (
     Callable,
@@ -100,58 +103,120 @@ class PlanCache:
     the shards of a fleet sharing one cache — reads the same objects.
     The key names everything the build reads, so two services may share
     a cache exactly when they would plan identically.
+
+    A build started *ahead* of need is the lowest-priority work in the
+    process: between two videos it calls :meth:`defer`, which parks it
+    while any service sharing the cache has demand or prefetch work
+    running — until someone waits for the window, which sets the
+    build's ``hurry`` event.
     """
 
     CAPACITY = 3  # previous, current, next (planned ahead)
+    PARK_POLL_S = 0.002  # a parked build re-reads the gates this often
 
     def __init__(self) -> None:
         self._cond = make_condition("service.plan-cache")
         self._windows: Dict[Hashable, PlannedWindow] = {}  # insertion = age order
-        self._building: Set[Hashable] = set()
+        # Keys being built, each with its hurry event (None: a demand build).
+        self._building: Dict[Hashable, Optional[threading.Event]] = {}
+        # The services planning into this cache; replaced, never mutated.
+        self._sharers: Tuple["weakref.ref[SandService]", ...] = ()
         self.builds = 0
         self.ahead_builds = 0  # of ``builds``, those plan-ahead ran off the demand path
         self.hits = 0
         self.waits = 0
+        self.ahead_build_ms = 0.0  # CPU the ahead builds' threads used
+        self.ahead_deferred_ms = 0.0  # ... and how long they sat parked behind trainers
+        self.roll_wait_ms = 0.0  # callers waiting for a build in flight
+
+    def share_with(self, service: "SandService") -> None:
+        """Ahead builds into this cache defer to ``service``'s trainers too."""
+        with self._cond:
+            live = tuple(ref for ref in self._sharers if ref() not in (None, service))
+            self._sharers = live + (weakref.ref(service),)
+
+    def has(self, key: Hashable) -> bool:
+        """Is the window under ``key`` planned, or being planned?"""
+        with self._cond:
+            return key in self._windows or key in self._building
 
     def get(
         self,
         key: Hashable,
         build: Callable[[], PlannedWindow],
-        ahead: bool = False,
+        hurry: Optional[threading.Event] = None,
         wait: bool = True,
     ) -> PlannedWindow:
         """The window under ``key``, built at most once.  ``wait=False``
-        is a pure lookup: :class:`NotReady` unless it is already here."""
+        is a pure lookup: :class:`NotReady` unless it is already here.
+        ``hurry`` marks an ahead build: the event its :meth:`defer` calls
+        watch, set here by the first caller that waits for the window."""
         if not self._cond.acquire(blocking=wait):
             raise NotReady("plan cache is busy")
         try:
             if wait and key in self._building:
                 self.waits += 1
+                awaited = self._building[key]
+                if awaited is not None:
+                    awaited.set()  # a trainer is behind this build now: no more deferring
+                since = time.perf_counter()  # sandlint: ignore[wall-clock]
                 while key in self._building:
                     self._cond.wait()
+                waited = time.perf_counter() - since  # sandlint: ignore[wall-clock]
+                self.roll_wait_ms += waited * 1e3
             if key in self._windows:
                 self.hits += 1
                 return self._windows[key]
             if not wait:
                 raise NotReady("window is not planned yet")
-            self._building.add(key)
+            self._building[key] = hurry
         finally:
             self._cond.release()
+        cpu = time.thread_time()
         try:
             window = build()
             with self._cond:
                 self.builds += 1
-                self.ahead_builds += ahead
+                if hurry is not None:
+                    self.ahead_builds += 1
+                    self.ahead_build_ms += (time.thread_time() - cpu) * 1e3
                 self._windows[key] = window
                 while len(self._windows) > self.CAPACITY:
                     del self._windows[next(iter(self._windows))]
         finally:
             with self._cond:
-                self._building.discard(key)
+                del self._building[key]
                 self._cond.notify_all()
         return window
 
-    def report(self) -> Dict[str, int]:
+    def defer(self, hurry: threading.Event) -> None:
+        """Between two videos of an ahead build: let the trainers go first.
+
+        Gives the GIL up, so a trainer waking from its step waits for one
+        video's build rather than a switch interval; then parks for as
+        long as demand or prefetch work runs on any sharing service and
+        nobody has set ``hurry``.
+        """
+        if hurry.is_set():
+            return
+        time.sleep(0)
+        if not self._trainers_busy():
+            return
+        since = time.perf_counter()  # sandlint: ignore[wall-clock]
+        while not hurry.wait(self.PARK_POLL_S) and self._trainers_busy():
+            pass
+        parked = time.perf_counter() - since  # sandlint: ignore[wall-clock]
+        with self._cond:
+            self.ahead_deferred_ms += parked * 1e3
+
+    def _trainers_busy(self) -> bool:
+        for ref in self._sharers:
+            service = ref()
+            if service is not None and service.trainers_busy():
+                return True
+        return False
+
+    def report(self) -> Dict[str, float]:
         with self._cond:
             return {
                 "builds": self.builds,
@@ -159,6 +224,9 @@ class PlanCache:
                 "hits": self.hits,
                 "waits": self.waits,
                 "windows": len(self._windows),
+                "ahead_build_ms": round(self.ahead_build_ms, 3),
+                "ahead_deferred_ms": round(self.ahead_deferred_ms, 3),
+                "roll_wait_ms": round(self.roll_wait_ms, 3),
             }
 
 
@@ -174,9 +242,18 @@ class _Group:
         self.pruning: Optional[PruningOutcome] = None
         self.engine: Optional[PreprocessingEngine] = None
         # Plan-ahead: the window start whose background build was last
-        # started, and the thread running it (joined on shutdown).
+        # started, the thread running it (joined on shutdown) and the
+        # event that stops it deferring to the trainers.
         self.ahead_start: Optional[int] = None
         self.planner: Optional[threading.Thread] = None
+        self.hurry = threading.Event()
+
+    def join_planner(self) -> None:
+        """Wait for the ahead build, which stops deferring: whoever joins
+        it may hold what the trainers it defers to are waiting for."""
+        if self.planner is not None:
+            self.hurry.set()
+            self.planner.join()
 
 
 class SandService(FileSystemProvider):
@@ -316,6 +393,25 @@ class SandService(FileSystemProvider):
     def engine(self) -> Optional[PreprocessingEngine]:
         return self._single_group().engine
 
+    @property
+    def plan_cache(self) -> PlanCache:
+        return self._plan_cache
+
+    @plan_cache.setter
+    def plan_cache(self, cache: PlanCache) -> None:
+        self._plan_cache = cache
+        cache.share_with(self)  # whoever plans ahead into it defers to our trainers too
+
+    def trainers_busy(self) -> bool:
+        """Is demand or prefetch work running on a live engine?  Takes no
+        service lock (a roll holds the window lock while it waits for a
+        build): a stale answer costs the asking builder one poll."""
+        for group in self._groups.values():
+            engine = group.engine
+            if engine is not None and not engine.foreground_idle():
+                return True
+        return False
+
     # -- window management ----------------------------------------------------
     def ensure_window(
         self, epoch: int, task: Optional[str] = None, wait: bool = True
@@ -351,21 +447,29 @@ class SandService(FileSystemProvider):
             self._window_lock.release()
 
     def _plan_ahead(self, group: _Group, epoch_start: int) -> None:
-        """Build the next window's plan off the trainers' threads.
+        """Build the next window's plan off the trainers' threads, in
+        their idle time.
 
         Started once per window, by the first request for its last
         epoch: a plan is a pure function of (seed, window, tasks), so by
         the time a trainer rolls, the cache holds it (or the roll waits
-        for the build in flight — never builds twice).  A build that
+        for the build in flight — never builds twice).  Until someone
+        does wait, the build defers to every trainer of every service
+        sharing the cache (:meth:`PlanCache.defer`).  A build that
         raises caches nothing; the roll then rebuilds on the trainer's
         thread and raises there.
         """
-        if group.planner is not None:
-            group.planner.join()  # a window old: long finished
+        group.join_planner()  # a window old; at most parked (flipped back, never rolled)
         group.ahead_start = epoch_start
+        if self.plan_cache.has(self._plan_key(group, epoch_start)):
+            # Another shard of the fleet got there first.  (A second
+            # planner would only wait for the first — and a waiter is
+            # what tells a build to stop deferring.)
+            return
+        group.hurry = threading.Event()
         group.planner = threading.Thread(
             target=self._planned,
-            args=(group, epoch_start, True),
+            args=(group, epoch_start, group.hurry),
             name="sand-plan-ahead",
             daemon=True,
         )
@@ -382,9 +486,16 @@ class SandService(FileSystemProvider):
         return self._planned(group, start, wait=wait)[0]
 
     def _planned(
-        self, group: _Group, epoch_start: int, ahead: bool = False, wait: bool = True
+        self,
+        group: _Group,
+        epoch_start: int,
+        hurry: Optional[threading.Event] = None,
+        wait: bool = True,
     ) -> PlannedWindow:
+        """The planned window starting at ``epoch_start``; ``hurry`` makes
+        it an ahead build, deferring between videos until the event is set."""
         budget = self.store.capacity_bytes
+        cache = self.plan_cache
 
         def build() -> PlannedWindow:
             plan = build_plan_window(
@@ -394,20 +505,24 @@ class SandService(FileSystemProvider):
                 self.k_epochs,
                 seed=self.seed,
                 coordinated=self.coordinated,
+                between_videos=None if hurry is None else partial(cache.defer, hurry),
             )
             return plan, prune_plan(plan, budget)
 
-        key = (
+        return cache.get(self._plan_key(group, epoch_start), build, hurry, wait)
+
+    def _plan_key(self, group: _Group, epoch_start: int) -> Hashable:
+        """Everything the build of a window reads."""
+        return (
             group.path,
             tuple(config.tag for config in group.tasks),
             epoch_start,
             self.k_epochs,
             self.seed,
             self.coordinated,
-            budget,
+            self.store.capacity_bytes,  # the pruning budget
             len(group.dataset.video_ids),  # a streaming corpus grows per window
         )
-        return self.plan_cache.get(key, build, ahead, wait)
 
     def set_scope(self, owns: Optional[Callable[[BatchAssembly], bool]]) -> None:
         """Confine background work to the batches ``owns`` accepts.
@@ -465,8 +580,7 @@ class SandService(FileSystemProvider):
     def shutdown(self) -> None:
         with self._window_lock:
             for group in self._groups.values():
-                if group.planner is not None:
-                    group.planner.join()
+                group.join_planner()
                 if group.engine is not None:
                     group.engine.retire()
             # Lease-leak check over the shared delivery pool: with every

@@ -1,5 +1,7 @@
 """Tests for abstract graphs, concrete plans, node merging, and pruning."""
 
+import hashlib
+
 import pytest
 
 from repro.core import (
@@ -270,3 +272,81 @@ def test_prune_rejects_nonpositive_budget(dataset):
         prune_plan(plan, 0)
     with pytest.raises(ValueError):
         naive_budgeted_leaves(plan, -5)
+
+
+# -- golden plans ------------------------------------------------------------------
+# A plan is a pure function of (seed, window, tasks): these digests were
+# captured before build_plan_window was made cheaper (PR 18) and pin every
+# key, draw and float of it.  A change that moves one changes what is
+# cached under which name — that is a format change, not an optimization.
+
+GOLDEN_EXTRA_AUG = [
+    {
+        "branch_type": "random",
+        "inputs": ["a1"],
+        "outputs": ["a2"],
+        "branches": [
+            {"prob": 0.5, "config": [{"flip": {"flip_prob": 0.5}}]},
+            {"prob": 0.5, "config": None},
+        ],
+    },
+    {
+        "branch_type": "conditional",
+        "inputs": ["a2"],
+        "outputs": ["a3"],
+        "branches": [
+            {"condition": "iteration >= 2", "config": [{"inv_sample": True}]},
+            {"condition": "else", "config": None},
+        ],
+    },
+]
+
+
+def golden_tasks(count):
+    return [
+        make_config("a", samples=2, extra_aug=GOLDEN_EXTRA_AUG),
+        make_config("b", frames=4, stride=4, crop=(12, 12)),
+    ][:count]
+
+
+def plan_digest(plan):
+    digest = hashlib.sha256()
+
+    def feed(*parts):
+        digest.update(("\x1f".join(map(repr, parts)) + "\n").encode())
+
+    for video_id, graph in plan.graphs.items():
+        feed("graph", video_id, sorted(graph.wanted_frames))
+        for node in graph.nodes.values():
+            feed(
+                node.key, node.kind, node.parents, node.size_bytes, node.op_name,
+                node.op_cost_s, node.clip_shape, node.frame_index,
+                node.frame_indices, node.op_args, node.clip_ops, node.ref_count,
+                [(u.task, u.epoch, u.iteration, u.slot) for u in node.uses],
+                graph.children(node.key),
+            )
+    for key, assembly in plan.batches.items():
+        feed("batch", key, assembly.samples)
+    feed("iterations", sorted(plan.iterations_per_epoch.items()))
+    return digest.hexdigest()
+
+
+GOLDEN_PLANS = {  # (tasks, window start, coordinated) -> sha256, from the parent of PR 18
+    (1, 0, True): "9bbc93f6b80d5f14af08453ca2c0a506efd8125b2ffb2a6f97e9192ab16661bf",
+    (1, 0, False): "f16cee388778917990e3bf5c770fef9569f2fe769fc87a02db4e71e806d5147f",
+    (1, 2, True): "9a31a4b0e44a5bf7c0a367c32e193e67a5902a0bd7b9790366b97830da2fcd6e",
+    (1, 2, False): "7e25df6da51b5150a27af25645ccbbfa798adabeb82cabe00c19b8ee270fe883",
+    (2, 0, True): "e1576e908a1f9c82abfd6a14488684613f803439e8cec1b4000a051617301e23",
+    (2, 0, False): "5209c6719c589d2f566d3168f81a4af7a2b019c0d6d6a97ac4cc447d33b493cf",
+    (2, 2, True): "aea353140c9ac4060b9842ce7bf1bea4df190f6d770b71c7ac386721968ab714",
+    (2, 2, False): "e8708edd4e270be184421f0749dea9d2ef6ebd2ae5f00458e99f51aa64e5c355",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PLANS))
+def test_plan_matches_golden_digest(dataset, case):
+    count, epoch_start, coordinated = case
+    plan = build_plan_window(
+        golden_tasks(count), dataset, epoch_start, 2, seed=7, coordinated=coordinated
+    )
+    assert plan_digest(plan) == GOLDEN_PLANS[case]

@@ -165,7 +165,14 @@ def test_socket_stream_and_books_match_with_and_without_the_inline_path(
         assert books == books_hopped
         for service in (inline, hopped):
             assert service.delivery_pool.leases_outstanding == 0
-        assert inline.plan_cache.report() == hopped.plan_cache.report()
+        # What was planned, not how long anyone waited for it (``waits``
+        # and the ``*_ms`` keys depend on where the roll met the build).
+        planned = [
+            {name: service.plan_cache.report()[name]
+             for name in ("builds", "ahead_builds", "hits", "windows")}
+            for service in (inline, hopped)
+        ]
+        assert planned[0] == planned[1]
     finally:
         for service in (reference, inline, hopped):
             service.shutdown()

@@ -101,6 +101,17 @@ def test_work_gate_exit_never_goes_negative():
     assert gate.running(WorkClass.DEMAND) == 1
 
 
+def test_work_gate_reports_an_exit_nobody_entered(sanitized):
+    gate = WorkGate()
+    gate.enter(WorkClass.PREFETCH)
+    gate.exit(WorkClass.PREFETCH)
+    assert collect_report().clean()
+    gate.exit(WorkClass.PREFETCH)  # never raises on the serving path ...
+    leaks = collect_report().raw_frame_leaks
+    assert len(leaks) == 1 and "exit(PREFETCH) without a matching enter" in leaks[0]
+    assert gate.running(WorkClass.PREFETCH) == 0  # ... and never goes negative
+
+
 # -- BatchPrefetcher against a fake source ----------------------------------
 
 

@@ -1,5 +1,7 @@
 """Tests for the materialization scheduler and the cache manager."""
 
+import threading
+
 import pytest
 
 from repro.core import (
@@ -248,8 +250,8 @@ def test_plan_cache_keeps_previous_current_and_next():
 
     for key in (0, 2):
         cache.get(key, build(key))
-    cache.get(4, build(4), ahead=True)
-    cache.get(4, build(4), ahead=True)  # already there: not an ahead *build*
+    cache.get(4, build(4), hurry=threading.Event())
+    cache.get(4, build(4), hurry=threading.Event())  # already there: not an ahead *build*
     cache.get(0, build(0))  # back a window: still cached
     assert built == [0, 2, 4]
     report = cache.report()
@@ -268,7 +270,7 @@ def test_plan_cache_does_not_cache_a_failed_build():
         raise RuntimeError("planner down")
 
     with pytest.raises(RuntimeError):
-        cache.get(0, doomed, ahead=True)
+        cache.get(0, doomed, hurry=threading.Event())
     assert cache.get(0, lambda: ("plan", None)) == ("plan", None)
     report = cache.report()
     assert (report["builds"], report["ahead_builds"], report["windows"]) == (1, 0, 1)

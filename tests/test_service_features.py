@@ -14,10 +14,12 @@ from repro.core import (
     PreprocessingEngine,
     SandService,
     SchedulingMode,
+    ShardCoordinator,
     build_plan_window,
     load_task_config,
     load_task_configs,
 )
+from repro.core.scheduling import WorkClass
 from repro.datasets import DatasetSpec, SyntheticDataset
 from repro.storage.local import LocalStore
 
@@ -324,4 +326,156 @@ def test_shutdown_joins_the_planner(sanitized, dataset, monkeypatch):
         service.shutdown()
     assert not [t for t in threading.enumerate() if t.name == "sand-plan-ahead"]
     assert calls == [0, 2]  # the build in flight finished before shutdown returned
+    assert collect_report().clean(), collect_report().as_dict()
+
+
+# -- plan-ahead defers to the trainers --------------------------------------------------
+# Event-driven: a section is held open on an engine's work gate, and the
+# builder's own probes of it say when it has parked.  Nothing is timed.
+
+
+def watch_probes(service):
+    """Record every answer ``service`` gives a builder asking "are your
+    trainers busy?"."""
+    answers = []
+    probe = service.trainers_busy
+
+    def recording():
+        answers.append(probe())
+        return answers[-1]
+
+    service.trainers_busy = recording
+    return answers
+
+
+def watch_progress(cache):
+    """Record every video boundary an ahead build gets past."""
+    passed = []
+    defer = cache.defer
+
+    def recording(hurry):
+        defer(hurry)
+        passed.append(hurry.is_set())
+
+    cache.defer = recording
+    return passed
+
+
+def wait_until_parked(answers):
+    # The first "busy" sends the builder into the park loop; two more
+    # come from inside it.
+    wait_for(lambda: len(answers) >= 3)
+    assert all(answers)
+
+
+@pytest.mark.parametrize("work_class", [WorkClass.DEMAND, WorkClass.PREFETCH])
+def test_ahead_build_parks_while_a_trainer_section_is_open(
+    sanitized, dataset, monkeypatch, work_class
+):
+    service, calls = planning_service(dataset, monkeypatch)
+    try:
+        service.get_batch("t", 0, 0)
+        answers = watch_probes(service)
+        passed = watch_progress(service.plan_cache)
+        gate = service.engine._work_gate
+        gate.enter(work_class)
+        try:
+            service.get_batch("t", 1, 0)  # kicks the build of window 2
+            wait_until_parked(answers)
+            # Parked at the first boundary: one video planned, no more.
+            assert calls == [0, 2] and passed == []
+            assert service.plan_cache.report()["builds"] == 1
+        finally:
+            gate.exit(work_class)
+        wait_for(lambda: service.plan_cache.report()["builds"] == 2)
+        report = service.status()["plan_cache"]
+        assert report["ahead_builds"] == 1 and report["ahead_deferred_ms"] > 0
+        assert report["ahead_build_ms"] > 0 and report["roll_wait_ms"] == 0
+        assert passed and not any(passed)  # nobody ever had to hurry it
+    finally:
+        service.shutdown()
+    assert collect_report().clean(), collect_report().as_dict()
+
+
+def test_roll_waiting_on_a_parked_build_unparks_it(sanitized, dataset, monkeypatch):
+    service, calls = planning_service(dataset, monkeypatch)
+    try:
+        service.get_batch("t", 0, 0)
+        answers = watch_probes(service)
+        gate = service.engine._work_gate
+        gate.enter(WorkClass.DEMAND)  # another trainer, busy for the whole test
+        try:
+            service.get_batch("t", 1, 0)
+            wait_until_parked(answers)
+            trainer = threading.Thread(target=service.get_batch, args=("t", 2, 0))
+            trainer.start()
+            trainer.join(10)
+            assert not trainer.is_alive() and service.plan.epoch_start == 2
+            assert gate.running(WorkClass.DEMAND) == 1  # ... and it still is
+        finally:
+            gate.exit(WorkClass.DEMAND)
+        assert calls == [0, 2]
+        report = service.plan_cache.report()
+        assert (report["builds"], report["ahead_builds"], report["waits"]) == (2, 1, 1)
+        assert report["roll_wait_ms"] > 0
+    finally:
+        service.shutdown()
+    assert collect_report().clean(), collect_report().as_dict()
+
+
+def test_shutdown_unparks_the_build_it_joins(sanitized, dataset, monkeypatch):
+    service, calls = planning_service(dataset, monkeypatch)
+    service.get_batch("t", 0, 0)
+    answers = watch_probes(service)
+    gate = service.engine._work_gate
+    gate.enter(WorkClass.DEMAND)
+    try:
+        service.get_batch("t", 1, 0)
+        wait_until_parked(answers)
+        closer = threading.Thread(target=service.shutdown)
+        closer.start()
+        closer.join(10)
+        assert not closer.is_alive()
+    finally:
+        gate.exit(WorkClass.DEMAND)
+    assert not [t for t in threading.enumerate() if t.name == "sand-plan-ahead"]
+    assert service.plan_cache.report()["builds"] == 2  # finished, not abandoned
+    assert collect_report().clean(), collect_report().as_dict()
+
+
+def test_fleet_build_defers_to_a_shard_that_did_not_start_it(
+    sanitized, dataset, monkeypatch
+):
+    shards = [planning_service(dataset, monkeypatch)[0] for _ in range(4)]
+    fleet = ShardCoordinator(shards)
+    try:
+        for shard in shards:
+            shard.ensure_window(0)
+        kicker = fleet.shard(fleet.route("t", 1, 0)[0])
+        bystander = next(shard for shard in shards if shard is not kicker)
+        answers = watch_probes(bystander)
+        gate = bystander.engine._work_gate
+        gate.enter(WorkClass.DEMAND)
+        try:
+            fleet.get_batch("t", 1, 0)
+            wait_until_parked(answers)
+            # The other shards reach their last epoch too: the window is
+            # already being planned, and nobody queues up behind it (a
+            # waiter would end the deferring).
+            for shard in shards:
+                shard.ensure_window(1)
+            planners = [t for t in threading.enumerate() if t.name == "sand-plan-ahead"]
+            assert len(planners) == 1
+            report = fleet.plan_cache.report()
+            assert (report["builds"], report["waits"]) == (1, 0)
+            parked_at = len(answers)
+            wait_for(lambda: len(answers) >= parked_at + 2)  # ... and it stays parked
+            assert all(answers)
+        finally:
+            gate.exit(WorkClass.DEMAND)
+        wait_for(lambda: fleet.plan_cache.report()["builds"] == 2)
+        report = fleet.status()["routing"]["plan_cache"]
+        assert report["ahead_builds"] == 1 and report["ahead_deferred_ms"] > 0
+    finally:
+        fleet.shutdown()
     assert collect_report().clean(), collect_report().as_dict()

@@ -1,6 +1,6 @@
 """Two-tier mypy gate.
 
-Tier 1 (strict): ``repro.analysis`` and ``repro.augment.fusion`` must be
+Tier 1 (strict): ``repro.analysis`` and the modules in ``STRICT_ARGS`` must be
 ``mypy --strict`` clean (generics over ``Any`` are allowed: numpy's
 ``ndarray`` is generic and the repo annotates it bare).  Any error fails.
 
@@ -51,6 +51,8 @@ STRICT_ARGS = [
     "repro.core.sharding",
     "-m",
     "repro.core.tenancy",
+    "-m",
+    "repro.core.scheduling",
 ]
 
 TREE_ARGS = ["--follow-imports=normal", "-p", "repro"]
