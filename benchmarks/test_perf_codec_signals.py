@@ -1,19 +1,13 @@
 """Codec-signal reuse on the long-GOP, low-motion profile.
 
-Two experiments, persisted to ``benchmark_results/BENCH_codec_signals.json``:
-
-* **Near-duplicate reuse** — repeated sparse windows over a long-GOP
-  (48), low-motion video.  The stateless baseline re-decodes every
-  anchor lead-in per window; anchor caching alone removes the repeats;
-  the signal path additionally collapses near-duplicate frames onto
-  their effective anchors, so only anchors are ever decoded.  The bar:
-  >= 4x fewer frames decoded than the no-cache baseline (anchor caching
-  alone measures ~3.3x on this shape).
-* **Oracle-vs-LRU ablation** — the identical cyclic access stream driven
-  through two AnchorCaches at the *same* byte budget, one LRU, one with
-  the exact next-use oracle.  A cyclic scan one entry wider than the
-  budget is LRU's classic pathology (0% hit rate); Belady keeps a stable
-  subset.  Clairvoyant must strictly dominate.
+Near-duplicate reuse, persisted to
+``benchmark_results/BENCH_codec_signals.json``: repeated sparse windows
+over a long-GOP (48), low-motion video.  The stateless baseline
+re-decodes every anchor lead-in per window; anchor caching alone removes
+the repeats; the signal path additionally collapses near-duplicate
+frames onto their effective anchors, so only anchors are ever decoded.
+The bar: >= 4x fewer frames decoded than the no-cache baseline (anchor
+caching alone measures ~3.3x on this shape).
 
 Set ``BENCH_SMOKE=1`` for the CI smoke run (smaller video, same shape).
 """
@@ -34,7 +28,6 @@ from repro.codec import (
     VideoMetadata,
     encode_video,
 )
-from repro.core import oracle_from_accesses
 from repro.metrics import Table
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
@@ -136,50 +129,7 @@ def run_reuse_experiment():
     }
 
 
-# -- oracle vs LRU ablation -------------------------------------------------------
-
-ABLATION_GOP = 4        # gop == anchor step: every anchor is an I frame,
-ABLATION_B = 3          # so each request decodes exactly one frame.
-ABLATION_ANCHORS = 8 if SMOKE else 16
-ABLATION_ROUNDS = 4 if SMOKE else 6
-
-
-def run_ablation(use_oracle):
-    md = VideoMetadata(
-        "bench_cyclic", width=WIDTH, height=HEIGHT,
-        num_frames=ABLATION_GOP * ABLATION_ANCHORS,
-        fps=30.0, gop_size=ABLATION_GOP, b_frames=ABLATION_B,
-    )
-    data = encode_video(SyntheticVideoSource(md))
-    accesses = [
-        [ABLATION_GOP * (t % ABLATION_ANCHORS)]
-        for t in range(ABLATION_ANCHORS * ABLATION_ROUNDS)
-    ]
-    frame_bytes = WIDTH * HEIGHT * 3
-    budget = frame_bytes * (ABLATION_ANCHORS - 1)  # one entry short: LRU thrashes
-    cache = AnchorCache(budget)
-    if use_oracle:
-        cache.set_oracle(oracle_from_accesses(md, accesses))
-    dec = IncrementalDecoder(data, cache=cache)
-    for step, frames in enumerate(accesses):
-        cache.advance(step)
-        dec.decode_frames(frames)
-    report = cache.report()
-    return {
-        "policy": "clairvoyant" if use_oracle else "lru",
-        "budget_entries": ABLATION_ANCHORS - 1,
-        "stream_entries": ABLATION_ANCHORS,
-        "steps": len(accesses),
-        "frames_decoded": dec.stats.frames_decoded,
-        "cache_hits": report["hits"],
-        "evictions": report["evictions"],
-    }
-
-
 def run_experiment():
-    reuse = run_reuse_experiment()
-    lru = run_ablation(use_oracle=False)
-    oracle = run_ablation(use_oracle=True)
     return {
         "workload": {
             "num_frames": NUM_FRAMES,
@@ -191,8 +141,7 @@ def run_experiment():
             "reuse_threshold": REUSE_THRESHOLD,
             "smoke": SMOKE,
         },
-        "near_duplicate_reuse": reuse,
-        "eviction_ablation": {"lru": lru, "clairvoyant": oracle},
+        "near_duplicate_reuse": run_reuse_experiment(),
     }
 
 
@@ -202,8 +151,6 @@ def test_perf_codec_signals(benchmark, emit, results_dir):
     base = reuse["baseline_stateless"]
     cache_only = reuse["anchor_cache_only"]
     signal = reuse["signal_reuse"]
-    lru = result["eviction_ablation"]["lru"]
-    oracle = result["eviction_ablation"]["clairvoyant"]
 
     table = Table(
         "Near-duplicate reuse: long-GOP low-motion sparse windows",
@@ -227,26 +174,11 @@ def test_perf_codec_signals(benchmark, emit, results_dir):
         f"{reuse['signal_reduction_x']}x",
     )
 
-    ablation = Table(
-        "Eviction ablation: cyclic anchor scan at equal byte budget",
-        ["policy", "frames decoded", "cache hits", "evictions"],
-    )
-    ablation.add_row(
-        "LRU", lru["frames_decoded"], lru["cache_hits"], lru["evictions"]
-    )
-    ablation.add_row(
-        "clairvoyant", oracle["frames_decoded"], oracle["cache_hits"],
-        oracle["evictions"],
-    )
-
     # Acceptance bars.
     assert reuse["signal_reduction_x"] >= 4.0, reuse["signal_reduction_x"]
     assert signal["frames_skipped_near_duplicate"] > 0
-    # Clairvoyant strictly dominates LRU on the identical stream/budget.
-    assert oracle["frames_decoded"] < lru["frames_decoded"], (oracle, lru)
-    assert oracle["cache_hits"] > lru["cache_hits"]
 
     (results_dir / "BENCH_codec_signals.json").write_text(
         json.dumps(result, indent=2) + "\n"
     )
-    emit("codec_signals", table, ablation)
+    emit("codec_signals", table)

@@ -42,7 +42,7 @@ from repro.codec.incremental import (
     IncrementalDecoder,
     frames_to_decode_with_cache,
 )
-from repro.codec.signals import FrameSignal, FrameSignals, next_use_after
+from repro.codec.signals import FrameSignal, FrameSignals
 from repro.codec.intra import IntraDecoder, encode_intra_video
 from repro.codec.registry import UnknownCodecError, decoder_for_path, open_decoder
 
@@ -62,7 +62,6 @@ __all__ = [
     "UNKNOWN_DELTA",
     "UnknownCodecError",
     "decoder_for_path",
-    "next_use_after",
     "encode_intra_video",
     "encode_video",
     "open_decoder",

@@ -40,7 +40,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Protocol,
     Sequence,
     Set,
     Tuple,
@@ -143,21 +142,6 @@ def _inflate(payload: memoryview, size: int, video_id: str, index: int) -> bytes
     return raw
 
 
-class AnchorOracle(Protocol):
-    """Future-knowledge interface for Belady-style anchor eviction.
-
-    ``next_use(video_id, index, now)`` returns the next global step
-    strictly after ``now`` at which the anchor ``(video_id, index)`` will
-    be needed, or ``None`` if it is never needed again.  The engine
-    builds an exact oracle from the registered task schedules
-    (:func:`repro.core.clairvoyant.oracle_from_plan`) — clairvoyance is
-    real here, not learned.
-    """
-
-    def next_use(self, video_id: str, index: int, now: int) -> Optional[int]:
-        ...
-
-
 @dataclass
 class AnchorCacheVideoStats:
     """Per-video accounting for one video's anchors in the cache."""
@@ -221,17 +205,12 @@ class AnchorCache:
     past the budget evicts entries, and a frame larger than the whole
     budget is simply not cached (graceful degradation to stateless
     decoding).  Thread safe — engine workers on different videos share
-    one cache.
+    one cache, and a service shares one across its plan windows.
 
-    Eviction is LRU by default.  When an :class:`AnchorOracle` is
-    attached (:meth:`set_oracle`) and the engine keeps :meth:`advance`-ing
-    the access clock, eviction becomes Belady's clairvoyant rule: the
-    victim is the entry whose next use is farthest in the future (an
-    entry never used again is evicted first).  Because the new entry is
-    itself a candidate, admission is clairvoyant too — a just-decoded
-    anchor with no future use never displaces one that has.  Ties and
-    oracle-less operation fall back to LRU order, so with no oracle the
-    behavior is byte-for-byte the historical LRU.
+    Eviction is LRU: :meth:`get` and :meth:`snapshot` freshen what they
+    return, and an insert past the budget evicts the least recently used
+    entries.  Eviction never changes decoded bytes, only how often a
+    decode resumes from a cached anchor.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_ANCHOR_CACHE_BYTES):
@@ -246,24 +225,6 @@ class AnchorCache:
         self.misses = 0
         self.evictions = 0
         self._video_stats: Dict[str, AnchorCacheVideoStats] = {}
-        self._oracle: Optional[AnchorOracle] = None
-        self._clock = -1  # global step *before* the first get_batch
-
-    # -- clairvoyance ---------------------------------------------------------
-    def set_oracle(self, oracle: Optional[AnchorOracle]) -> None:
-        """Attach (or detach, with None) the future-access oracle."""
-        with self._lock:
-            self._oracle = oracle
-
-    def advance(self, step: int) -> None:
-        """Move the access clock to global ``step`` (monotonic)."""
-        with self._lock:
-            if step > self._clock:
-                self._clock = step
-
-    @property
-    def clock(self) -> int:
-        return self._clock
 
     def _stats_for(self, video_id: str) -> AnchorCacheVideoStats:
         stats = self._video_stats.get(video_id)
@@ -348,8 +309,8 @@ class AnchorCache:
         decoder's own handle is this same array — and every view
         :meth:`get`/:meth:`snapshot` hand out inherits it.  Each entry is
         inserted and *then* evicted for, one at a time, so hits,
-        evictions and LRU/Belady victims are those of the same sequence
-        of :meth:`put` calls.
+        evictions and LRU victims are those of the same sequence of
+        :meth:`put` calls.
         """
         with self._lock:
             sanitizer = buffer_sanitizer()
@@ -367,9 +328,6 @@ class AnchorCache:
                 self._entries[key] = frame
                 self._by_video.setdefault(video_id, set()).add(index)
                 self._bytes += frame.nbytes
-                # Evicting *after* insertion makes admission clairvoyant
-                # when an oracle is attached: the new entry competes on
-                # next-use distance and may itself be the victim.
                 while self._bytes > self.budget_bytes:
                     self._evict_one()
 
@@ -392,12 +350,7 @@ class AnchorCache:
             self._bytes = 0
 
     def _evict_one(self) -> None:
-        if self._oracle is None:
-            key, frame = self._entries.popitem(last=False)
-        else:
-            key = self._belady_victim()
-            frame = self._entries.pop(key)
-        video_id, index = key
+        (video_id, index), frame = self._entries.popitem(last=False)
         self._bytes -= frame.nbytes
         videos = self._by_video.get(video_id)
         if videos is not None:
@@ -406,30 +359,12 @@ class AnchorCache:
                 del self._by_video[video_id]
         self.evictions += 1
 
-    def _belady_victim(self) -> Tuple[str, int]:
-        """Belady's rule: evict the entry used farthest in the future.
-
-        Entries with no future use at all are evicted first; among
-        entries tied on next-use distance the least-recently-used wins
-        (iteration order of the OrderedDict), keeping the policy
-        deterministic and degrading gracefully where the oracle is
-        uninformative.
-        """
-        assert self._oracle is not None
-        victim: Optional[Tuple[str, int]] = None
-        victim_next = -1
-        for key in self._entries:  # LRU -> MRU order
-            video_id, index = key
-            next_use = self._oracle.next_use(video_id, index, self._clock)
-            if next_use is None:
-                return key  # dead entry: never used again
-            if next_use > victim_next:
-                victim, victim_next = key, next_use
-        assert victim is not None
-        return victim
-
     def report(self) -> Dict[str, Any]:
-        """Counter snapshot for :meth:`EngineStats.traffic_report`."""
+        """Counter snapshot: hits, misses, evictions, occupancy, per video too.
+
+        The engine folds it into ``EngineStats.anchor_cache`` whenever its
+        stats are read.
+        """
         with self._lock:
             return {
                 "hits": self.hits,
@@ -438,7 +373,6 @@ class AnchorCache:
                 "entries": len(self._entries),
                 "bytes_used": self._bytes,
                 "budget_bytes": self.budget_bytes,
-                "clairvoyant": self._oracle is not None,
                 "per_video": {
                     vid: stats.as_dict()
                     for vid, stats in sorted(self._video_stats.items())

@@ -32,7 +32,6 @@ historical one.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -175,16 +174,3 @@ class FrameSignals:
         if self.metadata.num_frames == 0:
             return 0.0
         return len(self.near_duplicates(threshold)) / self.metadata.num_frames
-
-
-def next_use_after(uses: Sequence[int], now: int) -> Optional[int]:
-    """First element of sorted ``uses`` strictly greater than ``now``.
-
-    Shared helper for Belady-style oracles: given a frame's sorted future
-    access steps, returns its next use after the clock ``now``, or None
-    if it is never used again.
-    """
-    pos = bisect.bisect_right(uses, now)
-    if pos >= len(uses):
-        return None
-    return uses[pos]

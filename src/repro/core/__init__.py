@@ -78,11 +78,6 @@ from repro.core.scheduling import (
 )
 from repro.core.materializer import MaterializeStats, VideoMaterializer
 from repro.core.cache import CacheManager
-from repro.core.clairvoyant import (
-    NextUseOracle,
-    oracle_from_accesses,
-    oracle_from_plan,
-)
 from repro.core.dataplane import (
     AsyncBatchServer,
     BatchLease,
@@ -149,7 +144,6 @@ __all__ = [
     "MaterializationPlan",
     "MaterializationScheduler",
     "MaterializeStats",
-    "NextUseOracle",
     "NotReady",
     "ObjectNode",
     "PlanCache",
@@ -186,8 +180,6 @@ __all__ = [
     "make_fleet",
     "mount_sand",
     "naive_budgeted_leaves",
-    "oracle_from_accesses",
-    "oracle_from_plan",
     "parse_view_path",
     "percentile",
     "prune_plan",

@@ -32,7 +32,6 @@ from repro.augment.fusion import TrafficLedger
 from repro.augment.registry import OpRegistry
 from repro.codec.incremental import AnchorCache
 from repro.core.cache import CacheManager
-from repro.core.clairvoyant import oracle_from_plan
 from repro.core.concrete_graph import BatchAssembly, MaterializationPlan
 from repro.core.dataplane import BatchLease, BufferPool, NotReady
 from repro.core.materializer import VideoMaterializer
@@ -49,8 +48,6 @@ from repro.faults.errors import InjectedWorkerCrash, TransientDecodeError
 from repro.faults.proxies import FaultyDecoder
 from repro.storage.objectstore import TransientStorageError
 from repro.storage.retry import RetryPolicy, call_with_retries
-
-DEFAULT_ANCHOR_CACHE_BYTES = 32 * 1024 * 1024
 
 # Failures worth retrying: flaky I/O and flaky decode.  Anything else is
 # a bug (or an injected crash) and must not be silently absorbed by a
@@ -153,7 +150,6 @@ class PreprocessingEngine:
         prefetch_depth: int = 0,
         prefetch_workers: int = 1,
         reuse_threshold: float = 0.0,
-        clairvoyant_cache: bool = True,
         delivery_pool: Optional[BufferPool] = None,
     ):
         if num_workers < 0:
@@ -210,18 +206,9 @@ class PreprocessingEngine:
         # nearest cached anchor instead of the GOP keyframe.  Budget 0
         # degrades to fully stateless decoding.
         self.anchor_cache = (
-            anchor_cache
-            if anchor_cache is not None
-            else AnchorCache(DEFAULT_ANCHOR_CACHE_BYTES)
+            anchor_cache if anchor_cache is not None else AnchorCache()
         )
         self.reuse_threshold = reuse_threshold
-        self.clairvoyant_cache = clairvoyant_cache
-        if clairvoyant_cache:
-            # The registered task schedules ARE the future access
-            # sequence, so the anchor cache gets an exact Belady oracle:
-            # eviction picks the anchor used farthest in the future.
-            # Decoded bytes are unchanged — only reuse frequency improves.
-            self.anchor_cache.set_oracle(oracle_from_plan(plan))
 
         self._materializers: Dict[str, VideoMaterializer] = {}
         self._mat_lock = make_lock("engine.materializers")
@@ -449,9 +436,6 @@ class PreprocessingEngine:
                 self._progress[task] = max(self._progress[task], step)
             if self.cache is not None:
                 self.cache.advance(step)
-            # Keep the anchor cache's Belady clock in lockstep with training
-            # progress so next-use distances are measured from "now".
-            self.anchor_cache.advance(step)
 
             if wait and self._prefetcher is not None:
                 ready = self._prefetcher.take(task, epoch, iteration)

@@ -275,8 +275,6 @@ class SandService(FileSystemProvider):
         fault_schedule=None,
         retry_policy=None,
         prefetch_depth: int = 2,
-        reuse_threshold: float = 0.0,
-        clairvoyant_cache: bool = True,
     ):
         if not tasks:
             raise ValueError("need at least one task config")
@@ -295,11 +293,6 @@ class SandService(FileSystemProvider):
         # Demand-path pipelining: each engine speculatively assembles the
         # next K batches per task on background threads (0 disables).
         self.prefetch_depth = prefetch_depth
-        # Codec-signal reuse: near-duplicate collapse threshold (0 = off,
-        # byte-identical) and Belady-oracle anchor eviction (on by
-        # default; output-invariant either way).
-        self.reuse_threshold = reuse_threshold
-        self.clairvoyant_cache = clairvoyant_cache
 
         self.abstract_graphs: Dict[str, AbstractViewGraph] = {
             t.tag: AbstractViewGraph.from_config(t) for t in tasks
@@ -564,8 +557,6 @@ class SandService(FileSystemProvider):
             retry_policy=self.retry_policy,
             seed=self.seed,
             prefetch_depth=self.prefetch_depth,
-            reuse_threshold=self.reuse_threshold,
-            clairvoyant_cache=self.clairvoyant_cache,
             delivery_pool=self.delivery_pool,
         )
         if self._owns is not None:
@@ -591,6 +582,10 @@ class SandService(FileSystemProvider):
             self.delivery_pool.note_leaks()
             # Flush write-behind storage and release pack mappings.
             self.cache.close()
+            # Decoded anchors are the service's largest allocation.  A
+            # service that served over a socket lives on until the cycle
+            # collector reaches its batch server, so drop them now.
+            self.anchor_cache.clear()
 
     # -- operations ------------------------------------------------------------
     def status(self) -> Dict:

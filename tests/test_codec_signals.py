@@ -28,7 +28,6 @@ from repro.codec.container import (
     _RECORD_FMT,
     ContainerError,
 )
-from repro.codec.signals import next_use_after
 
 
 def make_video(vid="sig", frames=48, gop=12, b=3, w=32, h=24, motion=1.0, noise=1.0):
@@ -180,13 +179,6 @@ def test_effective_map_memoizes_per_threshold():
     assert signals.effective_map(3.0) is signals.effective_map(3.0)
     with pytest.raises(ValueError):
         signals.effective_map(-1.0)
-
-
-def test_next_use_after_is_strictly_future():
-    assert next_use_after([2, 5, 9], 1) == 2
-    assert next_use_after([2, 5, 9], 2) == 5
-    assert next_use_after([2, 5, 9], 9) is None
-    assert next_use_after([], 0) is None
 
 
 # -- property: signals agree with actual decode dependencies (satellite) -----------

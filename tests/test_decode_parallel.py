@@ -159,14 +159,6 @@ class LoggingCache(AnchorCache):
         self.victims.extend(key for key in before if key not in self._entries)
 
 
-class ModuloOracle:
-    """Deterministic, uneven next-use distances; some entries are dead."""
-
-    def next_use(self, video_id, index, now):
-        distance = (index * 7) % 5
-        return None if distance == 0 else now + distance
-
-
 def anchor_frames():
     rng = np.random.default_rng(7)
     small = lambda: rng.integers(0, 255, size=(H, W, 3), dtype=np.uint8)  # noqa: E731
@@ -176,13 +168,10 @@ def anchor_frames():
     return frames
 
 
-@pytest.mark.parametrize("oracle", [None, ModuloOracle()], ids=["lru", "belady"])
-def test_put_many_is_the_same_sequence_of_puts(sanitized, oracle):
+def test_put_many_is_the_same_sequence_of_puts(sanitized):
     books = []
     for batched in (False, True):
         cache = LoggingCache(3 * FRAME_BYTES)
-        cache.set_oracle(oracle)
-        cache.advance(4)
         cache.put("other", 1, np.zeros((H, W, 3), np.uint8))
         frames = anchor_frames()
         before = buffer_sanitizer().guarded

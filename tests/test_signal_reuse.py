@@ -1,8 +1,9 @@
-"""Differential suite for near-duplicate reuse and clairvoyant caching.
+"""Differential suite for near-duplicate reuse.
 
-The safety contract: ``reuse_threshold=0`` and clairvoyant eviction are
-*output-invariant* — byte-identical batches across seeds, fused and
-unfused, and under the capstone fault schedule.  At ``reuse_threshold >
+The safety contract: ``reuse_threshold=0`` and anchor caching are
+*output-invariant* — byte-identical to a reference engine that caches no
+anchors (``AnchorCache(0)``) across seeds, fused and unfused, and under
+the capstone fault schedule.  At ``reuse_threshold >
 0`` the outputs legitimately change (near-duplicates collapse onto their
 effective frame), but fused slot reuse must still match the unfused
 engine at the same threshold, and every skipped pass must appear in the
@@ -21,12 +22,9 @@ from repro.codec import (
 )
 from repro.core import (
     CacheManager,
-    NextUseOracle,
     PreprocessingEngine,
     build_plan_window,
     load_task_config,
-    oracle_from_accesses,
-    oracle_from_plan,
     prune_plan,
 )
 from repro.datasets import DatasetSpec, SyntheticDataset
@@ -106,7 +104,7 @@ def run_all_batches(engine, plan):
     }
 
 
-# -- output invariance: threshold 0 + clairvoyant ---------------------------------
+# -- output invariance: threshold 0 + anchor cache --------------------------------
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -115,25 +113,22 @@ def test_clairvoyant_zero_threshold_is_byte_identical(dataset, seed, fused):
     plan = build_plan_window([make_config()], dataset, 0, 2, seed=seed)
     engine = PreprocessingEngine(
         plan, dataset, num_workers=0, fusion_enabled=fused,
-        reuse_threshold=0.0, clairvoyant_cache=True,
+        reuse_threshold=0.0,
     )
     reference = PreprocessingEngine(
         plan, dataset, num_workers=0, fusion_enabled=False,
-        clairvoyant_cache=False,
+        anchor_cache=AnchorCache(0),
     )
     for key in sorted(plan.batches):
         batch, _ = engine.get_batch(*key)
         expected, _ = reference.get_batch(*key)
         assert np.array_equal(batch, expected), key
     assert engine.stats.frames_skipped_near_duplicate == 0
-    report = engine.stats.traffic_report()
-    assert report["anchor_cache"]["clairvoyant"] is True
-    assert reference.stats.traffic_report()["anchor_cache"]["clairvoyant"] is False
 
 
 def test_clairvoyant_under_capstone_faults_matches_fault_free_run(dataset):
-    """The capstone fault schedule with clairvoyant caching + threshold 0
-    still yields batches byte-identical to a fault-free, non-clairvoyant,
+    """The capstone fault schedule with anchor caching + threshold 0 still
+    yields batches byte-identical to a fault-free, anchor-cache-free,
     unfused run."""
     plan = build_plan_window([make_config()], dataset, 0, 2, seed=5)
     schedule = FaultSchedule(
@@ -151,11 +146,11 @@ def test_clairvoyant_under_capstone_faults_matches_fault_free_run(dataset):
     engine = PreprocessingEngine(
         plan, dataset, pruning=pruning, cache=cache, num_workers=2,
         fault_schedule=schedule, retry_policy=FAST_RETRY,
-        fusion_enabled=True, reuse_threshold=0.0, clairvoyant_cache=True,
+        fusion_enabled=True, reuse_threshold=0.0,
     )
     reference = PreprocessingEngine(
         plan, dataset, num_workers=0, fusion_enabled=False,
-        clairvoyant_cache=False,
+        anchor_cache=AnchorCache(0),
     )
     with engine:
         engine.drain()
@@ -165,6 +160,38 @@ def test_clairvoyant_under_capstone_faults_matches_fault_free_run(dataset):
             assert np.array_equal(batch, expected), key
     assert engine.stats.worker_crashes == 1
     assert engine.stats.batches_served == len(plan.batches)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_anchor_cache_shared_across_rolls_under_eviction(dataset, seed):
+    """Three windows (two rolls) read through one anchor cache with room
+    for under a third of the anchors they decode, as a service's engines
+    share it: anchors decoded in one window are reused in the next, LRU
+    evicts throughout, and every batch equals the same window decoded
+    with no anchor cache at all."""
+    anchor_bytes = 32 * 24 * 3
+    shared = AnchorCache(12 * anchor_bytes)  # the windows decode ~43 anchors
+    configs = [
+        make_config(frames=8, stride=2),
+        make_config(tag="u", frames=8, stride=2),
+    ]
+    for epoch_start in range(3):
+        plan = build_plan_window(configs, dataset, epoch_start, 1, seed=seed)
+        engine = PreprocessingEngine(
+            plan, dataset, num_workers=0, anchor_cache=shared
+        )
+        reference = PreprocessingEngine(
+            plan, dataset, num_workers=0, anchor_cache=AnchorCache(0)
+        )
+        for key in sorted(plan.batches):
+            batch, _ = engine.get_batch(*key)
+            expected, _ = reference.get_batch(*key)
+            assert np.array_equal(batch, expected), (epoch_start, key)
+        if epoch_start == 0:
+            first_window_hits = shared.hits
+    assert shared.evictions > 0
+    assert shared.hits > first_window_hits
+    assert shared.bytes_used <= shared.budget_bytes
 
 
 # -- near-duplicate reuse: accounting and fused/unfused agreement -----------------
@@ -222,7 +249,7 @@ def test_threshold_changes_are_inert_on_high_motion_content(dataset):
     )
     reference = PreprocessingEngine(
         plan, dataset, num_workers=0, fusion_enabled=False,
-        clairvoyant_cache=False,
+        anchor_cache=AnchorCache(0),
     )
     for key in sorted(plan.batches):
         batch, _ = engine.get_batch(*key)
@@ -242,7 +269,6 @@ def test_per_video_counters_roll_into_traffic_report(lowmo_dataset):
     )
     run_all_batches(engine, plan)
     report = engine.stats.traffic_report()["anchor_cache"]
-    assert report["clairvoyant"] is True
     per_video = report["per_video"]
     assert per_video  # at least one video decoded
     for vid, stats in per_video.items():
@@ -306,120 +332,3 @@ def test_zero_threshold_decoder_is_byte_identical():
     reference = reference_decode(data, range(48))
     for i in range(48):
         assert np.array_equal(out[i], reference[i])
-
-
-# -- clairvoyant cache policy -----------------------------------------------------
-
-
-def frame_bytes(value, shape=(8, 8, 3)):
-    return np.full(shape, value, dtype=np.uint8)
-
-
-def cyclic_oracle(vid, anchors, rounds):
-    """Each round touches every anchor once, in order."""
-    uses = {}
-    step = 0
-    for _ in range(rounds):
-        for a in anchors:
-            uses.setdefault((vid, a), []).append(step)
-            step += 1
-    return NextUseOracle(uses), step
-
-
-def replay(cache, vid, anchors, rounds):
-    """Drive the access stream through a cache, counting hits."""
-    hits = 0
-    step = 0
-    frame = frame_bytes(1)
-    for _ in range(rounds):
-        for a in anchors:
-            cache.advance(step)
-            if cache.get(vid, a) is not None:
-                hits += 1
-            else:
-                cache.put(vid, a, frame)
-            step += 1
-    return hits
-
-
-def test_belady_beats_lru_on_cyclic_scan():
-    """The classic LRU pathology: a cyclic scan one entry larger than the
-    budget gives LRU a 0% hit rate; Belady keeps a stable subset."""
-    anchors = list(range(5))
-    frame = frame_bytes(1)
-    budget = frame.nbytes * 4  # holds 4 of 5
-    rounds = 6
-
-    lru = AnchorCache(budget)
-    lru_hits = replay(lru, "v", anchors, rounds)
-
-    oracle, _ = cyclic_oracle("v", anchors, rounds)
-    belady = AnchorCache(budget)
-    belady.set_oracle(oracle)
-    belady_hits = replay(belady, "v", anchors, rounds)
-
-    assert lru_hits == 0  # thrashes: evicts exactly what's needed next
-    assert belady_hits > lru_hits
-    assert belady.report()["clairvoyant"] is True
-
-
-def test_clairvoyant_admission_can_refuse_dead_entries():
-    """An entry with no future use loses to entries that will be reused:
-    put() reports whether the new entry survived admission."""
-    vid = "v"
-    frame = frame_bytes(1)
-    oracle = NextUseOracle({(vid, 0): [10], (vid, 1): [11]})
-    cache = AnchorCache(frame.nbytes * 2)
-    cache.set_oracle(oracle)
-    cache.advance(0)
-    assert cache.put(vid, 0, frame)
-    assert cache.put(vid, 1, frame)
-    # Anchor 99 is never used again; both residents are. It is refused.
-    assert not cache.put(vid, 99, frame)
-    assert (vid, 0) in cache and (vid, 1) in cache
-
-
-def test_belady_victim_is_farthest_next_use():
-    vid = "v"
-    frame = frame_bytes(1)
-    oracle = NextUseOracle({(vid, 0): [5], (vid, 1): [50], (vid, 2): [6]})
-    cache = AnchorCache(frame.nbytes * 2)
-    cache.set_oracle(oracle)
-    cache.advance(0)
-    cache.put(vid, 0, frame)
-    cache.put(vid, 1, frame)
-    assert cache.put(vid, 2, frame)  # evicts anchor 1 (next use 50)
-    assert (vid, 0) in cache and (vid, 2) in cache
-    assert (vid, 1) not in cache
-
-
-def test_oracle_clock_is_monotonic():
-    cache = AnchorCache(10**6)
-    cache.advance(5)
-    cache.advance(3)  # late/stale advance never rewinds the clock
-    assert cache.clock == 5
-
-
-def test_oracle_from_plan_tracks_real_anchor_uses(dataset):
-    plan = build_plan_window([make_config()], dataset, 0, 2, seed=1)
-    oracle = oracle_from_plan(plan)
-    assert len(oracle) > 0
-    total_steps = len(plan.batches)
-    for video_id, graph in plan.graphs.items():
-        gop = graph.metadata.gop
-        for anchor in oracle.tracked_anchors(video_id):
-            assert gop.is_anchor(anchor)
-            first = oracle.next_use(video_id, anchor, -1)
-            assert first is not None and 0 <= first < total_steps
-            # Uses are sorted and strictly in the future of `now`.
-            assert oracle.next_use(video_id, anchor, first) != first
-
-
-def test_oracle_from_accesses_expands_b_frame_dependencies():
-    md = VideoMetadata("v", width=8, height=8, num_frames=16,
-                       gop_size=8, b_frames=3)
-    oracle = oracle_from_accesses(md, [[1]])  # frame 1 is a B frame
-    # Decoding B(1) needs anchors 0 (prev) and 4 (next).
-    assert oracle.next_use("v", 0, -1) == 0
-    assert oracle.next_use("v", 4, -1) == 0
-    assert oracle.next_use("v", 8, -1) is None
