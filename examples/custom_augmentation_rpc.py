@@ -85,11 +85,11 @@ def main() -> None:
         service.shutdown()
 
     # Path 2: the same op applied in a separate worker process over RPC.
+    # The spawned worker re-imports this script as its ``__main__`` (hence
+    # the guard at the bottom), so the op is named relative to it.
     clip = dataset.source(dataset.video_ids[0]).frame(0)[np.newaxis]
     with RpcAugmentService() as rpc:
-        remote_out = rpc.apply(
-            "examples.custom_augmentation_rpc:Posterize", {"levels": 8}, clip, {}
-        )
+        remote_out = rpc.apply(f"{__name__}:Posterize", {"levels": 8}, clip, {})
     local_out = Posterize({"levels": 8}).apply(clip, {})
     assert np.array_equal(remote_out, local_out)
     print("RPC worker produced bit-identical output to the in-process op")

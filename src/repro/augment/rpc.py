@@ -3,86 +3,39 @@
     "SAND addresses this by offering an RPC service mechanism, enabling
     custom functions to be executed in separate processes."
 
-:class:`RpcAugmentService` spawns a worker subprocess (``python -m
-repro.augment.rpc``) and ships it op invocations over the SAND wire
-protocol (:mod:`repro.core.wire`) on stdin/stdout: CRC-guarded frame
-headers, an explicit version handshake, and a hard payload ceiling.
-:class:`RemoteOp` is an :class:`~repro.augment.ops.AugmentOp` whose
-:meth:`apply` delegates to the service, so external-library transforms
-plug into pipelines without loading their dependencies into the SAND
-service process.
+:class:`RpcAugmentService` owns one worker process, started with
+:mod:`multiprocessing`'s ``spawn`` context, and talks to it over a
+``Pipe``: each request is ``(op_path, config, clip, params)``, each reply
+``(True, result)`` or ``(False, "Type: message")``.  :class:`RemoteOp` is
+an :class:`~repro.augment.ops.AugmentOp` whose :meth:`apply` delegates to
+the service, so external-library transforms plug into pipelines without
+loading their dependencies into the SAND service process.
 
-The worker imports ops by dotted path (``package.module:ClassName``), so
-a custom op only needs to be importable in the *worker's* environment.
-
-Protocol: on startup the worker emits a ``HELLO`` frame carrying
-``{"rpc_version": RPC_VERSION}``; the client validates it before the
-first call, so version skew fails loudly at :meth:`start` instead of as
-a garbled pickle mid-run.  Requests travel as ``RPC_REQUEST`` frames and
-replies as ``RPC_RESPONSE`` frames, both with pickled bodies (clips
-cross a trusted process boundary we spawned ourselves).  The previous
-ad-hoc ``"<I"`` length prefix silently wrapped at 4 GiB and surfaced as
-an opaque ``struct.error``; oversized payloads now raise
-:class:`RpcError` naming the limit on the *sending* side.
+The worker imports ops by dotted path (``package.module:ClassName``).
+A spawned child starts with the parent's ``sys.path`` and re-imports the
+parent's main script as ``__main__`` (so that script must guard its
+entry point with ``if __name__ == "__main__"``), which makes any op the
+parent can import importable in the worker too — including one defined
+in the main script itself, named ``f"{__name__}:ClassName"``.
 """
 
 from __future__ import annotations
 
 import importlib
+import multiprocessing
 import pickle
-import subprocess
-import sys
-from typing import Any, BinaryIO, Dict, Optional, Tuple
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.locks import make_lock
 from repro.augment.ops import AugmentOp, Params
-from repro.core import wire
-from repro.core.wire import FrameType, FrameTooLargeError, WireEOFError, WireError
-
-RPC_VERSION = 2
-
-# Augment clips are orders of magnitude smaller than batches; cap RPC
-# frames well below the data-plane ceiling so a runaway payload fails
-# fast on the sender.
-DEFAULT_RPC_MAX_PAYLOAD = 256 * 1024 * 1024
 
 
 class RpcError(RuntimeError):
     """Raised when the worker fails or returns an error response."""
-
-
-def _write_msg(
-    stream: BinaryIO,
-    ftype: FrameType,
-    obj: Any,
-    max_payload: int = DEFAULT_RPC_MAX_PAYLOAD,
-) -> None:
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    try:
-        wire.write_frame(stream, ftype, payload, max_payload=max_payload)
-    except FrameTooLargeError as exc:
-        raise RpcError(
-            f"RPC payload is {len(payload)} bytes, over the {max_payload}-byte "
-            f"limit; split the clip or raise max_payload"
-        ) from exc
-
-
-def _read_msg(
-    stream: BinaryIO,
-    expected: FrameType,
-    max_payload: int = DEFAULT_RPC_MAX_PAYLOAD,
-) -> Any:
-    try:
-        ftype, payload = wire.read_frame(stream, max_payload=max_payload)
-    except WireEOFError as exc:
-        raise RpcError("worker closed the connection") from exc
-    except WireError as exc:
-        raise RpcError(f"bad RPC frame: {exc}") from exc
-    if ftype is not expected:
-        raise RpcError(f"expected {expected.name} frame, got {ftype.name}")
-    return pickle.loads(payload)
 
 
 def _load_op(dotted_path: str, config: Dict[str, Any]) -> AugmentOp:
@@ -96,128 +49,80 @@ def _load_op(dotted_path: str, config: Dict[str, Any]) -> AugmentOp:
     return op_cls(config)
 
 
-def worker_main(stdin: BinaryIO, stdout: BinaryIO) -> None:
-    """The worker loop: apply requests until EOF or a ``shutdown``."""
-    stdout.write(wire.json_frame(FrameType.HELLO, {"rpc_version": RPC_VERSION}))
-    stdout.flush()
-    op_cache: Dict[Tuple[str, bytes], AugmentOp] = {}
+def _serve(conn: Connection) -> None:
+    """The worker loop: apply requests until the parent closes its end."""
+    ops: Dict[Tuple[str, bytes], AugmentOp] = {}
     while True:
         try:
-            request = _read_msg(stdin, FrameType.RPC_REQUEST)
-        except RpcError:
-            return
-        if request.get("method") == "shutdown":
-            _write_msg(stdout, FrameType.RPC_RESPONSE, {"ok": True})
+            op_path, config, clip, params = conn.recv()
+        except EOFError:
             return
         try:
-            if request.get("method") != "apply":
-                raise RpcError(f"unknown method {request.get('method')!r}")
-            key = (request["op_path"], pickle.dumps(request["config"]))
-            if key not in op_cache:
-                op_cache[key] = _load_op(request["op_path"], request["config"])
-            result = op_cache[key].apply(request["clip"], request["params"])
-            _write_msg(stdout, FrameType.RPC_RESPONSE, {"ok": True, "clip": result})
-        except RpcError as exc:
-            _write_msg(stdout, FrameType.RPC_RESPONSE, {"ok": False, "error": str(exc)})
-        except Exception as exc:  # noqa: BLE001 - serialized back to client
-            _write_msg(
-                stdout,
-                FrameType.RPC_RESPONSE,
-                {"ok": False, "error": f"{type(exc).__name__}: {exc}"},
-            )
+            key = (op_path, pickle.dumps(config))
+            if key not in ops:
+                ops[key] = _load_op(op_path, config)
+            conn.send((True, ops[key].apply(clip, params)))
+        except Exception as exc:  # noqa: BLE001 - sent back to the parent
+            conn.send((False, f"{type(exc).__name__}: {exc}"))
 
 
 class RpcAugmentService:
-    """Client side: owns the worker subprocess and serializes calls."""
+    """Client side: owns the worker process and serializes calls."""
 
-    def __init__(
-        self,
-        python: Optional[str] = None,
-        max_payload: int = DEFAULT_RPC_MAX_PAYLOAD,
-    ):
-        self._python = python or sys.executable
-        self._max_payload = max_payload
-        self._proc: Optional[subprocess.Popen] = None
+    def __init__(self) -> None:
+        self._proc: Optional[BaseProcess] = None
+        self._conn: Optional[Connection] = None
         self._lock = make_lock("augment-rpc")
 
     def start(self) -> None:
-        if self._proc is not None:
-            return
-        proc = subprocess.Popen(
-            [self._python, "-m", "repro.augment.rpc"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-        )
-        try:
-            ftype, payload = wire.read_frame(
-                proc.stdout, max_payload=self._max_payload
-            )
-            if ftype is not FrameType.HELLO:
-                raise RpcError(f"expected HELLO from worker, got {ftype.name}")
-            hello = wire.parse_json(payload)
-        except WireError as exc:
-            proc.kill()
-            proc.wait(timeout=5)
-            raise RpcError(f"worker handshake failed: {exc}") from exc
-        except RpcError:
-            proc.kill()
-            proc.wait(timeout=5)
-            raise
-        if hello.get("rpc_version") != RPC_VERSION:
-            proc.kill()
-            proc.wait(timeout=5)
-            raise RpcError(
-                f"worker speaks RPC version {hello.get('rpc_version')}, "
-                f"this build speaks {RPC_VERSION}"
-            )
-        self._proc = proc
+        with self._lock:
+            self._start()
 
-    @property
-    def running(self) -> bool:
-        return self._proc is not None and self._proc.poll() is None
+    def _start(self) -> Connection:
+        if self._conn is None:
+            ctx = multiprocessing.get_context("spawn")
+            conn, child = ctx.Pipe()
+            # Daemonic, so interpreter exit ends it: multiprocessing joins the
+            # other children at exit, and the worker of a service never
+            # stopped (RemoteOp's shared one) would wait for requests forever.
+            proc = ctx.Process(
+                target=_serve, args=(child,), name="sand-augment-rpc", daemon=True
+            )
+            try:
+                proc.start()
+            finally:
+                child.close()  # only the worker holds its end: its exit is our EOF
+            self._proc, self._conn = proc, conn
+        return self._conn
 
     def apply(
-        self,
-        op_path: str,
-        config: Dict[str, Any],
-        clip: np.ndarray,
-        params: Params,
+        self, op_path: str, config: Dict[str, Any], clip: np.ndarray, params: Params
     ) -> np.ndarray:
-        if self._proc is None:
-            self.start()
-        assert self._proc is not None
         with self._lock:
-            if self._proc.poll() is not None:
-                raise RpcError("worker process has exited")
-            _write_msg(self._proc.stdin, FrameType.RPC_REQUEST, {
-                "method": "apply",
-                "op_path": op_path,
-                "config": config,
-                "clip": clip,
-                "params": params,
-            }, max_payload=self._max_payload)
-            response = _read_msg(
-                self._proc.stdout,
-                FrameType.RPC_RESPONSE,
-                max_payload=self._max_payload,
-            )
-        if not response.get("ok"):
-            raise RpcError(response.get("error", "unknown worker error"))
-        return response["clip"]
+            conn = self._start()
+            try:
+                conn.send((op_path, config, clip, params))
+                ok, result = conn.recv()
+            except (EOFError, OSError) as exc:
+                self._stop()
+                raise RpcError(f"worker process died ({type(exc).__name__})") from exc
+        if not ok:
+            raise RpcError(result)
+        return result
 
     def stop(self) -> None:
-        if self._proc is None:
-            return
         with self._lock:
-            proc, self._proc = self._proc, None
-        if proc.poll() is None:
-            try:
-                _write_msg(proc.stdin, FrameType.RPC_REQUEST, {"method": "shutdown"})
-                _read_msg(proc.stdout, FrameType.RPC_RESPONSE)
-            except (RpcError, OSError, ValueError):
-                pass
-            proc.stdin.close()
-            proc.wait(timeout=5)
+            self._stop()
+
+    def _stop(self) -> None:
+        proc, conn = self._proc, self._conn
+        self._proc = self._conn = None
+        if proc is None or conn is None:
+            return
+        conn.close()  # the worker sees EOF and returns
+        proc.join(timeout=5)
+        proc.kill()  # a no-op unless the worker is still running
+        proc.join()
 
     def __enter__(self) -> "RpcAugmentService":
         self.start()
@@ -240,6 +145,7 @@ class RemoteOp(AugmentOp):
     deterministic = False  # conservatively assume the wrapped op is stochastic
 
     _shared_service: Optional[RpcAugmentService] = None
+    _shared_lock = make_lock("augment-rpc.shared")
 
     def validate_config(self) -> None:
         if "op_path" not in self.config:
@@ -247,18 +153,11 @@ class RemoteOp(AugmentOp):
 
     @classmethod
     def service(cls) -> RpcAugmentService:
-        if cls._shared_service is None:
-            cls._shared_service = RpcAugmentService()
-        return cls._shared_service
+        with cls._shared_lock:
+            if cls._shared_service is None:
+                cls._shared_service = RpcAugmentService()
+            return cls._shared_service
 
     def apply(self, clip: np.ndarray, params: Params) -> np.ndarray:
-        return self.service().apply(
-            self.config["op_path"],
-            dict(self.config.get("op_config") or {}),
-            clip,
-            params,
-        )
-
-
-if __name__ == "__main__":
-    worker_main(sys.stdin.buffer, sys.stdout.buffer)
+        op_config = dict(self.config.get("op_config") or {})
+        return self.service().apply(self.config["op_path"], op_config, clip, params)

@@ -1,7 +1,6 @@
 """The SAND data-plane wire protocol: length-prefixed binary frames.
 
-Every message between a trainer and the batch server (and, since PR 8,
-between the augment RPC client and its worker) is one *frame*::
+Every message between a trainer and the batch server is one *frame*::
 
     offset  size  field
     ------  ----  -----------------------------------------------------
@@ -38,9 +37,7 @@ the layout it assumes instead of trusting it.
 
 Hard limits: ``max_payload`` (default 2 GiB) bounds every read.  A peer
 announcing a larger frame gets :class:`FrameTooLargeError` with the
-limit spelled out — the failure mode this replaces was a silent ``"<I"``
-4 GiB wrap in ``repro.augment.rpc`` surfacing as an opaque
-``struct.error``.
+limit spelled out.
 """
 
 from __future__ import annotations
@@ -78,8 +75,6 @@ class FrameType(IntEnum):
     PING = 6
     PONG = 7
     ACK = 8
-    RPC_REQUEST = 9
-    RPC_RESPONSE = 10
 
 
 class WireError(RuntimeError):

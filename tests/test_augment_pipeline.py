@@ -343,54 +343,66 @@ def test_remote_op_requires_op_path():
         RemoteOp({})
 
 
-# -- RPC framing (the repro.core.wire port) ----------------------------------
+# -- RPC worker process ------------------------------------------------------
 
 
-def test_rpc_worker_hello_handshake_carries_version():
-    """The worker's first bytes are a HELLO frame naming its RPC version
-    — version skew fails at start(), not as a garbled pickle mid-run."""
-    import io
+def _op_module(tmp_path, monkeypatch, name, apply_body):
+    """Write ``name.py`` defining ``Op.apply`` under a path only the
+    parent's ``sys.path`` names, and return the op's ``module:Class``."""
+    (tmp_path / f"{name}.py").write_text(
+        "import os\n"
+        "from repro.augment.ops import AugmentOp\n\n"
+        "class Op(AugmentOp):\n"
+        "    def apply(self, clip, params):\n"
+        f"        {apply_body}\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    return f"{name}:Op"
+
+
+def test_rpc_worker_sees_parent_sys_path(tmp_path, monkeypatch):
+    op_path = _op_module(tmp_path, monkeypatch, "sand_rpc_negate", "return 255 - clip")
+    c = clip()
+    with RpcAugmentService() as svc:
+        out = svc.apply(op_path, {}, c, {})
+    assert np.array_equal(out, 255 - c)
+
+
+def test_rpc_worker_death_is_an_error_and_next_call_respawns(tmp_path, monkeypatch):
+    op_path = _op_module(tmp_path, monkeypatch, "sand_rpc_exit", "os._exit(3)")
+    c = clip()
+    with RpcAugmentService() as svc:
+        with pytest.raises(RpcError, match="died"):
+            svc.apply(op_path, {}, c, {})
+        out = svc.apply("repro.augment.ops:Flip", {}, c, {"flipped": True})
+    assert np.array_equal(out, c[:, :, ::-1])
+
+
+def test_remote_op_shared_service_is_created_once(monkeypatch):
+    import threading
+    import time
 
     from repro.augment import rpc
-    from repro.core import wire
 
-    stdin = io.BytesIO()  # EOF immediately: worker greets, then exits
-    stdout = io.BytesIO()
-    rpc.worker_main(stdin, stdout)
-    stdout.seek(0)
-    ftype, payload = wire.read_frame(stdout)
-    assert ftype is wire.FrameType.HELLO
-    assert wire.parse_json(payload) == {"rpc_version": rpc.RPC_VERSION}
+    class SlowService(RpcAugmentService):
+        def __init__(self):
+            time.sleep(0.01)  # widen the window a check-then-set would lose
+            super().__init__()
 
+    monkeypatch.setattr(rpc, "RpcAugmentService", SlowService)
+    monkeypatch.setattr(RemoteOp, "_shared_service", None)
+    barrier = threading.Barrier(8, timeout=10)
+    got = []
 
-def test_rpc_client_rejects_version_skew(monkeypatch):
-    from repro.augment import rpc
+    def get():
+        barrier.wait()
+        got.append(RemoteOp.service())
 
-    monkeypatch.setattr(rpc, "RPC_VERSION", rpc.RPC_VERSION + 1)
-    svc = RpcAugmentService()
-    with pytest.raises(RpcError, match="version"):
-        svc.start()
-    assert not svc.running  # the skewed worker was reaped
-
-
-def test_rpc_oversized_payload_is_a_clear_client_side_error():
-    """The old ``"<I"`` framing silently wrapped at 4 GiB; now the limit
-    is enforced before anything hits the pipe, with the limit named."""
-    with RpcAugmentService(max_payload=64 * 1024) as svc:
-        big = np.zeros((1024, 1024), dtype=np.float32)  # 4 MiB pickle
-        with pytest.raises(RpcError, match="over the 65536-byte limit"):
-            svc.apply("repro.augment.ops:Flip", {}, big, {"flipped": False})
-        # The worker never saw the frame: the service keeps working.
-        out = svc.apply("repro.augment.ops:Flip", {}, clip(), {"flipped": False})
-        assert out.shape == (4, 24, 32, 3)
-
-
-def test_rpc_corrupt_stream_is_a_clean_rpc_error():
-    import io
-
-    from repro.augment.rpc import _read_msg
-    from repro.core.wire import FrameType
-
-    garbage = io.BytesIO(b"not a sand frame, definitely" * 2)
-    with pytest.raises(RpcError, match="bad RPC frame"):
-        _read_msg(garbage, FrameType.RPC_RESPONSE)
+    threads = [threading.Thread(target=get) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8
+    assert all(service is got[0] for service in got)
