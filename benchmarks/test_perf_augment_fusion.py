@@ -1,17 +1,18 @@
 """Augmentation fusion vs step-by-step execution (Fig 16 / S5.2 shape).
 
 The workload is the canonical training chain — random_crop -> resize ->
-flip -> normalize — run through the full engine (decode, materialize,
-collate) twice: once with the plan compiler fusing each chain into a
+flip -> normalize — run twice: once through the full engine (decode,
+materialize, collate), whose plan compiler fuses each chain into a
 single index-gather pass with a normalize epilogue written straight into
-the preallocated batch, and once unfused, one full-clip pass per op.
+the preallocated batch, and once through the step-by-step oracle
+(``tests/reference_materializer.py``), one full-clip pass per op.
 
-Both paths must produce byte-identical batches; the memory-traffic
-ledger must show the fused path making at least 2x fewer full-clip
-passes and copying at least 40% fewer bytes.  Results are persisted to
-``benchmark_results/BENCH_augment_fusion.json``; when the committed
-baseline describes the same workload, passes-per-clip is a regression
-gate — more passes than the baseline fails the run.
+Both must produce byte-identical batches; the memory-traffic ledger
+must show the fused path making at least 2x fewer full-clip passes and
+copying at least 40% fewer bytes than the oracle's.  Results are
+persisted to ``benchmark_results/BENCH_augment_fusion.json``; when the
+committed baseline describes the same workload, passes-per-clip is a
+regression gate — more passes than the baseline fails the run.
 
 Set ``BENCH_SMOKE=1`` for the CI smoke run (smaller window, same shape).
 """
@@ -26,6 +27,7 @@ from conftest import once
 from repro.core import PreprocessingEngine, build_plan_window, load_task_config
 from repro.datasets import DatasetSpec, SyntheticDataset
 from repro.metrics import Table
+from tests.reference_materializer import ReferenceMaterializer
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
@@ -73,26 +75,21 @@ def run_experiment():
     plan = build_plan_window([make_config()], dataset, 0, NUM_ITERATIONS, seed=5)
     num_clips = len(plan.batches) * VIDEOS_PER_BATCH
 
-    def serve(fusion_enabled):
-        engine = PreprocessingEngine(
-            plan, dataset, num_workers=0, fusion_enabled=fusion_enabled
-        )
+    def serve(get_batch):
         start = time.perf_counter()
-        batches = {
-            key: engine.get_batch(*key)[0] for key in sorted(plan.batches)
-        }
-        wall = time.perf_counter() - start
-        return engine.stats, batches, wall
+        batches = {key: get_batch(*key) for key in sorted(plan.batches)}
+        return batches, time.perf_counter() - start
 
-    fused_stats, fused_batches, fused_wall = serve(True)
-    unfused_stats, unfused_batches, unfused_wall = serve(False)
+    engine = PreprocessingEngine(plan, dataset, num_workers=0)
+    fused_batches, fused_wall = serve(lambda *key: engine.get_batch(*key)[0])
+    oracle = ReferenceMaterializer(plan, dataset)
+    unfused_batches, unfused_wall = serve(oracle.get_batch)
 
     # Fusion is an execution detail: batches must be byte-identical.
     for key in unfused_batches:
         assert np.array_equal(fused_batches[key], unfused_batches[key]), key
 
-    def snapshot(stats, wall):
-        t = stats.traffic
+    def snapshot(t, wall):
         return {
             "clip_passes": t.clip_passes,
             "passes_per_clip": round(t.clip_passes / num_clips, 4),
@@ -103,8 +100,8 @@ def run_experiment():
             "wall_time_s": round(wall, 6),
         }
 
-    fused = snapshot(fused_stats, fused_wall)
-    unfused = snapshot(unfused_stats, unfused_wall)
+    fused = snapshot(engine.stats.traffic, fused_wall)
+    unfused = snapshot(oracle.traffic, unfused_wall)
     return {
         "workload": {
             "num_videos": NUM_VIDEOS,

@@ -21,7 +21,6 @@ from conftest import once
 
 from repro.codec import (
     AnchorCache,
-    Decoder,
     FrameSignals,
     IncrementalDecoder,
     SyntheticVideoSource,
@@ -83,7 +82,7 @@ def run_reuse_experiment():
     low_motion = signals.low_motion_fraction(REUSE_THRESHOLD)
 
     # No-cache baseline: stateless decode per window.
-    baseline = Decoder(data)
+    baseline = IncrementalDecoder(data, cache=AnchorCache(0))
     start = time.perf_counter()
     baseline_out = [baseline.decode_frames(w) for w in windows]
     baseline_wall = time.perf_counter() - start
@@ -107,7 +106,8 @@ def run_reuse_experiment():
     # Exactness: every returned frame is the reference decode of its
     # effective (threshold-collapsed) index.
     eff = signals.effective_map(REUSE_THRESHOLD)
-    reference = Decoder(data).decode_frames(range(NUM_FRAMES))
+    stateless = IncrementalDecoder(data, cache=AnchorCache(0))
+    reference = stateless.decode_frames(range(NUM_FRAMES))
     for window, base_frames, sig_frames in zip(windows, baseline_out, signal_out):
         for idx in window:
             assert np.array_equal(base_frames[idx], reference[idx]), idx

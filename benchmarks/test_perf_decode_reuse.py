@@ -21,7 +21,6 @@ from conftest import once
 
 from repro.codec import (
     AnchorCache,
-    Decoder,
     IncrementalDecoder,
     SyntheticVideoSource,
     VideoMetadata,
@@ -64,7 +63,7 @@ def run_experiment():
     windows = sparse_windows()
 
     # Stateless baseline: nothing survives a call (on-demand semantics).
-    baseline = Decoder(data)
+    baseline = IncrementalDecoder(data, cache=AnchorCache(0))
     start = time.perf_counter()
     baseline_out = [baseline.decode_frames(w) for w in windows]
     baseline_wall = time.perf_counter() - start

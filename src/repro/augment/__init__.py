@@ -40,7 +40,6 @@ from repro.augment.fusion import (
     FusedPlan,
     TrafficLedger,
     compile_steps,
-    fusion_cache_info,
     plan_for,
 )
 from repro.augment.pipeline import (
@@ -79,7 +78,6 @@ __all__ = [
     "compile_steps",
     "default_registry",
     "evaluate_expr",
-    "fusion_cache_info",
     "params_key_cache_info",
     "plan_for",
     "register_op",

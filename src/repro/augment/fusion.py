@@ -33,11 +33,11 @@ rules that guarantee it:
   index clamp and composes exactly.  A segment carries at most one
   constant fill value.
 
-A memory-traffic ledger (:class:`TrafficLedger`) prices both the fused
-and unfused paths with the same policy: every op application / segment
-execution / collation write is one full-clip pass charging its output
-bytes; kernel-internal scratch (the bilinear temporaries, which both
-paths allocate) is not charged; identity returns charge nothing.
+A memory-traffic ledger (:class:`TrafficLedger`) prices the fused path
+and a step-by-step walk with the same policy: every op application /
+segment execution / collation write is one full-clip pass charging its
+output bytes; kernel-internal scratch (the bilinear temporaries, which
+both allocate) is not charged; identity returns charge nothing.
 """
 
 from __future__ import annotations
@@ -572,8 +572,3 @@ def plan_for(
     immutable at run time, so sharing them across threads is safe.
     """
     return _plan_cached(registry, tuple(chain), _shape4(in_shape))
-
-
-def fusion_cache_info() -> Dict[str, int]:
-    info = _plan_cached.cache_info()
-    return {"hits": info.hits, "misses": info.misses, "size": info.currsize}

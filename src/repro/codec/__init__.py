@@ -15,8 +15,8 @@ This package implements a real codec with exactly those semantics:
 * :mod:`repro.codec.encoder` — I/P encoding with zlib entropy coding and
   temporal delta prediction,
 * :mod:`repro.codec.decoder` — the dependency rule of a decode
-  (``frames_to_decode``), its statistics (frames decoded vs frames
-  requested, bytes read) and the stateless face of the decoder,
+  (``frames_to_decode``) and its statistics (frames decoded vs frames
+  requested, bytes read),
 * :mod:`repro.codec.incremental` — the one decode walk, with stateful
   reuse: a byte-budgeted LRU of decoded anchors and a decoder that
   resumes from the nearest cached anchor instead of the GOP keyframe,
@@ -36,7 +36,7 @@ from repro.codec.container import (
     write_container,
 )
 from repro.codec.encoder import encode_video
-from repro.codec.decoder import DecodeStats, Decoder, frames_to_decode
+from repro.codec.decoder import DecodeStats, frames_to_decode
 from repro.codec.incremental import (
     AnchorCache,
     IncrementalDecoder,
@@ -50,7 +50,6 @@ __all__ = [
     "AnchorCache",
     "ContainerError",
     "DecodeStats",
-    "Decoder",
     "IncrementalDecoder",
     "FrameSignal",
     "FrameSignals",

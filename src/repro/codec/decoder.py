@@ -1,26 +1,23 @@
-"""Dependency-aware decoder for the synthetic codec.
+"""The dependency rule of a decode in the synthetic codec, and its stats.
 
-The decoder reproduces the inefficiency at the heart of the paper's
-motivation (S3, Fig 3): requesting a sparse set of frames forces
-decoding every *anchor* from each touched GOP's keyframe up to the
-request — and, for B frames, the following anchor as well.  B frames
-nothing depends on can be skipped, exactly as in real decoders.
+Requesting a sparse set of frames forces decoding every *anchor* from
+each touched GOP's keyframe up to the request — and, for B frames, the
+following anchor as well; B frames nothing depends on are skipped,
+exactly as in real decoders.  That is the inefficiency at the heart of
+the paper's motivation (S3, Fig 3).  :func:`frames_to_decode` is the
+rule as a pure plan: the decoder
+(:class:`~repro.codec.incremental.IncrementalDecoder`), SAND's
+materialization planner and the cost model all price a decode with it.
 :class:`DecodeStats` counts the amplification so benchmarks can report
 decoded-vs-used frame ratios.
-
-:func:`frames_to_decode` is the pure planning version of the same rule;
-SAND's materialization planner and the cost model use it to price a
-decode without performing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Iterable, List, Set
 
-import numpy as np
-
-from repro.codec.model import GopStructure, VideoMetadata
+from repro.codec.model import GopStructure
 
 
 def frames_to_decode(
@@ -58,48 +55,8 @@ class DecodeStats:
     decode_calls: int = 0
 
     @property
-    def frames_decoded_fresh(self) -> int:
-        """Alias making the fresh-vs-reused split explicit in reports."""
-        return self.frames_decoded
-
-    @property
     def amplification(self) -> float:
         """Decoded / requested frame ratio (>= 1 in steady state)."""
         if self.frames_requested == 0:
             return 0.0
         return self.frames_decoded / self.frames_requested
-
-
-class Decoder:
-    """Decodes frames from SVC1 bytes, tracking amplification stats.
-
-    Without ``anchor_cache`` the decoder is stateless between calls —
-    like the on-demand baselines in the paper, nothing decoded survives
-    the call unless the caller keeps it.  (SAND's whole contribution is
-    to keep it, at the system level, on the caller's behalf.)
-
-    There is one decode walk: this class is an
-    :class:`~repro.codec.incremental.IncrementalDecoder` over the given
-    cache, or over a zero-budget one that can hold nothing.  With a
-    cache, full-video decodes warm it and sparse re-accesses resume from
-    cached anchors, byte-identically.
-    """
-
-    def __init__(self, data: bytes, anchor_cache=None, reuse_threshold: float = 0.0):
-        # Local import: incremental.py imports this module.
-        from repro.codec.incremental import AnchorCache, IncrementalDecoder
-
-        self._incremental = IncrementalDecoder(
-            data,
-            cache=anchor_cache if anchor_cache is not None else AnchorCache(0),
-            reuse_threshold=reuse_threshold,
-        )
-        self.metadata: VideoMetadata = self._incremental.metadata
-        self.stats: DecodeStats = self._incremental.stats
-
-    def decode_frames(self, indices: Sequence[int]) -> Dict[int, np.ndarray]:
-        """Decode the requested frames, plus their codec dependencies."""
-        return self._incremental.decode_frames(indices)
-
-    def decode_all(self) -> Dict[int, np.ndarray]:
-        return self.decode_frames(range(self.metadata.num_frames))

@@ -407,7 +407,6 @@ class IncrementalDecoder:
         self,
         data: bytes,
         cache: Optional[AnchorCache] = None,
-        budget_bytes: int = DEFAULT_ANCHOR_CACHE_BYTES,
         reuse_threshold: float = 0.0,
     ):
         if reuse_threshold < 0:
@@ -419,7 +418,7 @@ class IncrementalDecoder:
         metadata, records = read_container(data)
         self.metadata: VideoMetadata = metadata
         self._records: List[FrameRecord] = records
-        self.cache = cache if cache is not None else AnchorCache(budget_bytes)
+        self.cache = cache if cache is not None else AnchorCache()
         self.stats = DecodeStats()
         self.reuse_threshold = reuse_threshold
         self._signals: Optional[FrameSignals] = None

@@ -15,20 +15,38 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
 from repro.codec.container import MAGIC as SVC_MAGIC
-from repro.codec.decoder import Decoder
 from repro.codec.incremental import AnchorCache, IncrementalDecoder
 from repro.codec.intra import MAGIC as SVI_MAGIC, IntraDecoder
 
-VideoDecoder = Union[Decoder, IncrementalDecoder, IntraDecoder]
+VideoDecoder = Union[IncrementalDecoder, IntraDecoder]
 
-_BY_MAGIC: Dict[bytes, Callable[[bytes], VideoDecoder]] = {
-    SVC_MAGIC: Decoder,
-    SVI_MAGIC: IntraDecoder,
+
+def _open_svc(
+    data: bytes,
+    anchor_cache: Optional[AnchorCache] = None,
+    reuse_threshold: float = 0.0,
+) -> IncrementalDecoder:
+    cache = anchor_cache if anchor_cache is not None else AnchorCache(0)
+    return IncrementalDecoder(data, cache=cache, reuse_threshold=reuse_threshold)
+
+
+def _open_svi(
+    data: bytes,
+    anchor_cache: Optional[AnchorCache] = None,
+    reuse_threshold: float = 0.0,
+) -> IntraDecoder:
+    del anchor_cache, reuse_threshold  # no inter-frame state, no delta track
+    return IntraDecoder(data)
+
+
+_BY_MAGIC: Dict[bytes, Callable[..., VideoDecoder]] = {
+    SVC_MAGIC: _open_svc,
+    SVI_MAGIC: _open_svi,
 }
 
-_BY_EXTENSION: Dict[str, Callable[[bytes], VideoDecoder]] = {
-    ".svc": Decoder,
-    ".svi": IntraDecoder,
+_BY_EXTENSION: Dict[str, Callable[..., VideoDecoder]] = {
+    ".svc": _open_svc,
+    ".svi": _open_svi,
 }
 
 
@@ -43,9 +61,11 @@ def open_decoder(
 ) -> VideoDecoder:
     """Instantiate the right decoder for container bytes (magic sniff).
 
-    With ``anchor_cache``, inter-coded formats get the stateful
-    :class:`IncrementalDecoder` sharing that cache; all-intra formats
-    have no inter-frame dependencies to reuse and keep their decoder.
+    Inter-coded formats get the :class:`IncrementalDecoder` over
+    ``anchor_cache`` — or, without one, over a zero-budget cache, which
+    leaves it stateless between calls like the paper's on-demand
+    baselines; all-intra formats have no inter-frame dependencies to
+    reuse and keep their decoder.
     ``reuse_threshold`` enables near-duplicate frame collapse for
     inter-coded formats (ignored for all-intra: SVI1 containers carry no
     delta track).
@@ -56,13 +76,7 @@ def open_decoder(
         raise UnknownCodecError(
             f"unknown container magic {magic!r}; known: {sorted(_BY_MAGIC)}"
         )
-    if magic == SVC_MAGIC and (anchor_cache is not None or reuse_threshold > 0):
-        return IncrementalDecoder(
-            data,
-            cache=anchor_cache if anchor_cache is not None else AnchorCache(0),
-            reuse_threshold=reuse_threshold,
-        )
-    return factory(data)
+    return factory(data, anchor_cache, reuse_threshold)
 
 
 def decoder_for_path(path: Union[str, Path], data: bytes) -> VideoDecoder:
@@ -74,7 +88,3 @@ def decoder_for_path(path: Union[str, Path], data: bytes) -> VideoDecoder:
             f"no codec registered for {suffix!r}; known: {sorted(_BY_EXTENSION)}"
         )
     return factory(data)
-
-
-def known_extensions() -> list[str]:
-    return sorted(_BY_EXTENSION)

@@ -145,7 +145,6 @@ class PreprocessingEngine:
         anchor_cache: Optional[AnchorCache] = None,
         fault_schedule=None,
         retry_policy: Optional[RetryPolicy] = None,
-        fusion_enabled: bool = True,
         seed: int = 0,
         prefetch_depth: int = 0,
         prefetch_workers: int = 1,
@@ -164,7 +163,6 @@ class PreprocessingEngine:
         self.cache = cache
         self.registry = registry
         self.memory_budget_bytes = memory_budget_bytes
-        self.fusion_enabled = fusion_enabled
         self.seed = int(seed)
         # Traffic charged by the engine itself (batch-buffer allocation
         # and writes); materializer ledgers are added when stats are read.
@@ -469,27 +467,6 @@ class PreprocessingEngine:
             held.append(materializer)
         return held
 
-    def _assemble(self, assembly: BatchAssembly) -> BatchLease:
-        """Materialize and collate one assembly into a pooled lease."""
-        if self.fusion_enabled:
-            return self._assemble_fused(assembly)
-        samples: List[np.ndarray] = []
-        for video_id, leaf_key in assembly.samples:
-            materializer = self._materializer(video_id)
-            self._count_demand(materializer, leaf_key)
-            samples.append(self._retry(lambda: materializer.get(leaf_key), "demand_retries"))
-        first = samples[0]
-        lease = self.delivery_pool.acquire(
-            (len(samples),) + first.shape, first.dtype
-        )
-        batch = lease.array
-        for slot, sample in enumerate(samples):
-            batch[slot] = sample
-        self._engine_traffic.bytes_allocated += batch.nbytes
-        self._engine_traffic.bytes_copied += batch.nbytes
-        self._engine_traffic.clip_passes += len(samples)
-        return lease
-
     # -- prefetch source protocol ---------------------------------------------
     def prefetch_tasks(self) -> List[str]:
         return list(self.plan.tasks)
@@ -574,7 +551,7 @@ class PreprocessingEngine:
         ):
             self._stats.demand_materializations += 1
 
-    def _assemble_fused(self, assembly: BatchAssembly) -> BatchLease:
+    def _assemble(self, assembly: BatchAssembly) -> BatchLease:
         """Collate into one pooled delivery buffer (copy elision).
 
         The batch's shape and dtype come from the plan, so the buffer
@@ -777,7 +754,6 @@ class PreprocessingEngine:
                     registry=self.registry,
                     anchor_cache=self.anchor_cache,
                     decoder_wrapper=self._decoder_wrapper,
-                    fusion_enabled=self.fusion_enabled,
                     reuse_threshold=self.reuse_threshold,
                 )
             return self._materializers[video_id]

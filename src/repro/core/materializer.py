@@ -55,8 +55,7 @@ class MaterializeStats:
     transient_errors: int = 0
     fallback_rematerializations: int = 0
     bytes_in_memory: int = 0
-    # Memory traffic (passes over clip data, bytes moved) — priced with
-    # the same policy on the fused and unfused execution paths.
+    # Memory traffic (passes over clip data, bytes moved).
     traffic: TrafficLedger = field(default_factory=TrafficLedger)
 
     def count_op(self, name: str) -> None:
@@ -103,7 +102,6 @@ class VideoMaterializer:
         registry: Optional[OpRegistry] = None,
         anchor_cache: Optional[AnchorCache] = None,
         decoder_wrapper=None,
-        fusion_enabled: bool = True,
         reuse_threshold: float = 0.0,
     ):
         if reuse_threshold < 0:
@@ -119,10 +117,6 @@ class VideoMaterializer:
         # unavailable (all-intra container with no delta track).
         self._signals: Optional[FrameSignals] = None
         self._signals_probed = False
-        # Operator fusion: execute aug chains as compiled gather segments
-        # and collate samples into preallocated buffers.  Off = the
-        # step-by-step reference path (still traffic-instrumented).
-        self._fusion_enabled = fusion_enabled
         # Optional hook (video_decoder, video_id) -> decoder, used by the
         # fault-injection harness to wrap decoders in failure proxies.
         self.decoder_wrapper = decoder_wrapper
@@ -165,14 +159,13 @@ class VideoMaterializer:
             if node is None:
                 raise KeyError(f"{self.graph.video_id}: unknown node {key!r}")
             if (
-                self._fusion_enabled
-                and node.kind == "sample"
+                node.kind == "sample"
                 and not node.clip_ops
                 and len(node.uses) <= 1
                 and key not in self._memo
                 and (self.cache is None or key not in self.cache)
             ):
-                self._compute_sample_fused(node, out=out)
+                self._compute_sample(node, out=out)
                 if self.cache is not None and key in self.frontier:
                     self.consumed.add(key)  # a store nobody would read, elided
                 sanitizer = buffer_sanitizer()
@@ -406,36 +399,10 @@ class VideoMaterializer:
             return self._memo[node.key]
         if node.kind == "aug":
             assert node.op_args is not None
-            if self._fusion_enabled:
-                return self._compute_aug_fused(node)
-            parent = self._get_locked(node.parents[0])
-            op, params = _op_from_args(self.registry, node.op_args)
-            self.stats.count_op(op.name)
-            result = op.apply(parent, params)
-            self._charge(result, parent)
-            return result
+            return self._run_chain(node)
         if node.kind == "sample":
-            if self._fusion_enabled:
-                return self._compute_sample_fused(node)
-            frames = [self._get_locked(p) for p in node.parents]
-            clip = np.concatenate(frames, axis=0)
-            self.stats.traffic.charge(clip.nbytes)
-            for op_args in node.clip_ops:
-                op, params = _op_from_args(self.registry, op_args)
-                self.stats.count_op(op.name)
-                result = op.apply(clip, params)
-                self._charge(result, clip)
-                clip = result
-            self.stats.count_op("collate")
-            return clip
+            return self._compute_sample(node)
         raise ValueError(f"unknown node kind {node.kind!r}")
-
-    def _charge(self, result: np.ndarray, source: np.ndarray) -> None:
-        """Price one op application: identity returns are free."""
-        if result is source:
-            self.stats.traffic.identity_skips += 1
-        else:
-            self.stats.traffic.charge(result.nbytes)
 
     def _single_use_aug(self, key: str) -> bool:
         """Is ``key`` a single-use aug node nothing else will read?
@@ -458,28 +425,27 @@ class VideoMaterializer:
             and (self.cache is None or key not in self.cache)
         )
 
-    def _fused_chain(self, node: ObjectNode) -> Tuple[List[ObjectNode], str]:
-        """Longest skip-safe aug chain ending at ``node`` + its base key."""
+    def _run_chain(
+        self, node: ObjectNode, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Run the longest skip-safe aug chain ending at ``node`` as one
+        fused plan over its base — into ``out`` when the plan can write
+        there (the pointwise epilogue), else into a fresh array."""
         chain = [node]
-        parent_key = node.parents[0]
-        while self._single_use_aug(parent_key):
-            parent = self.graph.nodes[parent_key]
-            chain.append(parent)
-            parent_key = parent.parents[0]
+        base_key = node.parents[0]
+        while self._single_use_aug(base_key):
+            chain.append(self.graph.nodes[base_key])
+            base_key = chain[-1].parents[0]
         chain.reverse()
-        return chain, parent_key
-
-    def _compute_aug_fused(self, node: ObjectNode) -> np.ndarray:
-        chain, base_key = self._fused_chain(node)
         base = self._get_locked(base_key)
         plan = plan_for(
             self.registry, tuple(n.op_args for n in chain), base.shape
         )
         for link in chain:
             self.stats.count_op(link.op_args[0])
-        return plan.run(base, self.stats.traffic)
+        return plan.run(base, self.stats.traffic, out=out)
 
-    def _compute_sample_fused(
+    def _compute_sample(
         self, node: ObjectNode, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Collate a sample into one preallocated buffer (or ``out``)."""
@@ -526,7 +492,10 @@ class VideoMaterializer:
             op, params = _op_from_args(self.registry, op_args)
             self.stats.count_op(op.name)
             applied = op.apply(result, params)
-            self._charge(applied, result)
+            if applied is result:  # identity returns are free
+                traffic.identity_skips += 1
+            else:
+                traffic.charge(applied.nbytes)
             result = applied
         if use_out:
             return out
@@ -598,19 +567,11 @@ class VideoMaterializer:
         memoized, cached, or shared materializes normally and copies.
         """
         if self._single_use_aug(key):
-            chain, base_key = self._fused_chain(self.graph.nodes[key])
-            base = self._get_locked(base_key)
-            plan = plan_for(
-                self.registry, tuple(n.op_args for n in chain), base.shape
-            )
-            for link in chain:
-                self.stats.count_op(link.op_args[0])
-            result = plan.run(base, self.stats.traffic, out=slot)
-            if result is not slot:
-                np.copyto(slot, result, casting="no")
-                self.stats.traffic.bytes_copied += slot.nbytes
-            return
-        array = self._get_locked(key)
+            array = self._run_chain(self.graph.nodes[key], out=slot)
+            if array is slot:
+                return
+        else:
+            array = self._get_locked(key)
         np.copyto(slot, array, casting="no")
         self.stats.traffic.bytes_copied += slot.nbytes
 

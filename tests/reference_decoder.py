@@ -2,10 +2,9 @@
 
 The plain frame-by-frame I -> P -> B walk from each touched GOP's
 keyframe: no cache, no threads, no plan sharing, one ``zlib.decompress``
-and one ``GopStructure`` method call at a time.  It used to be
-``repro.codec.decoder.Decoder.decode_frames``; production now has one
-decode walk (``IncrementalDecoder``) and this copy stays here so that
-walk is checked against something that shares none of its shortcuts.
+and one ``GopStructure`` method call at a time.  Production has one
+decode walk (``IncrementalDecoder``); this copy stays here so that walk
+is checked against something that shares none of its shortcuts.
 """
 
 from __future__ import annotations

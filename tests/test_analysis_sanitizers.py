@@ -250,7 +250,7 @@ def test_accounting_drift_reported_as_leak(sanitized, dataset):
 
 def test_engine_epoch_clean_under_sanitizers(sanitized, dataset):
     plan = build_plan_window([make_config()], dataset, 0, 2, seed=5)
-    engine = PreprocessingEngine(plan, dataset, num_workers=2, fusion_enabled=True)
+    engine = PreprocessingEngine(plan, dataset, num_workers=2)
     with engine:
         engine.drain()
         for key in sorted(plan.batches):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.codec import (
     AnchorCache,
     ContainerError,
-    Decoder,
     FrameType,
     GopStructure,
     IncrementalDecoder,
@@ -192,7 +191,7 @@ def test_frame_out_of_range_raises():
 def test_encode_decode_roundtrip_is_lossless():
     src = make_video(frames=25, gop=10)
     data = encode_video(src)
-    dec = Decoder(data)
+    dec = IncrementalDecoder(data, cache=AnchorCache(0))
     out = dec.decode_frames([0, 9, 13, 24])
     for idx in (0, 9, 13, 24):
         assert np.array_equal(out[idx], src.frame(idx)), f"frame {idx}"
@@ -200,7 +199,7 @@ def test_encode_decode_roundtrip_is_lossless():
 
 def test_decode_counts_amplification():
     src = make_video(frames=25, gop=10)
-    dec = Decoder(encode_video(src))
+    dec = IncrementalDecoder(encode_video(src), cache=AnchorCache(0))
     dec.decode_frames([13])  # needs 10..13 => 4 decoded for 1 requested
     assert dec.stats.frames_requested == 1
     assert dec.stats.frames_decoded == 4
@@ -209,7 +208,7 @@ def test_decode_counts_amplification():
 
 def test_decode_all_frames():
     src = make_video(frames=12, gop=5)
-    dec = Decoder(encode_video(src))
+    dec = IncrementalDecoder(encode_video(src), cache=AnchorCache(0))
     out = dec.decode_all()
     assert len(out) == 12
     assert np.array_equal(out[11], src.frame(11))
@@ -217,7 +216,7 @@ def test_decode_all_frames():
 
 def test_decoder_is_stateless_across_calls():
     src = make_video(frames=25, gop=10)
-    dec = Decoder(encode_video(src))
+    dec = IncrementalDecoder(encode_video(src), cache=AnchorCache(0))
     dec.decode_frames([13])
     dec.decode_frames([13])  # nothing survives: same amplification again
     assert dec.stats.frames_decoded == 8
@@ -252,7 +251,7 @@ def test_encode_frames_validates_count():
 @settings(max_examples=15, deadline=None)
 def test_roundtrip_property(frames, gop, seed):
     src = make_video(f"v{seed}", frames=frames, gop=gop, w=16, h=12)
-    dec = Decoder(encode_video(src))
+    dec = IncrementalDecoder(encode_video(src), cache=AnchorCache(0))
     idx = frames - 1
     out = dec.decode_frames([idx])
     assert np.array_equal(out[idx], src.frame(idx))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.codec import (
     AnchorCache,
-    Decoder,
     FrameType,
     GopStructure,
     IncrementalDecoder,
@@ -90,7 +89,7 @@ def test_plan_with_b0_matches_classic_rule():
 @pytest.mark.parametrize("gop,b", [(12, 2), (10, 1), (8, 3), (6, 5)])
 def test_roundtrip_lossless(gop, b):
     src = make_video(frames=30, gop=gop, b=b)
-    dec = Decoder(encode_video(src))
+    dec = IncrementalDecoder(encode_video(src), cache=AnchorCache(0))
     out = dec.decode_all()
     for i in range(30):
         assert np.array_equal(out[i], src.frame(i)), (gop, b, i)
@@ -99,12 +98,12 @@ def test_roundtrip_lossless(gop, b):
 def test_sparse_decode_correct_and_skips_bs():
     src = make_video(frames=35, gop=12, b=2)
     data = encode_video(src)
-    dec = Decoder(data)
+    dec = IncrementalDecoder(data, cache=AnchorCache(0))
     out = dec.decode_frames([6])
     assert np.array_equal(out[6], src.frame(6))
     assert dec.stats.frames_decoded == 3  # anchors 0, 3, 6 only
 
-    dec2 = Decoder(data)
+    dec2 = IncrementalDecoder(data, cache=AnchorCache(0))
     out2 = dec2.decode_frames([7])
     assert np.array_equal(out2[7], src.frame(7))
     assert dec2.stats.frames_decoded == 5  # 0, 3, 6, 9 + the B itself
@@ -112,7 +111,7 @@ def test_sparse_decode_correct_and_skips_bs():
 
 def test_metadata_roundtrips_b_frames():
     src = make_video(b=2)
-    dec = Decoder(encode_video(src))
+    dec = IncrementalDecoder(encode_video(src), cache=AnchorCache(0))
     assert dec.metadata.b_frames == 2
     assert dec.metadata.gop.b_frames == 2
 
@@ -134,7 +133,7 @@ def test_b_frames_improve_compression_on_smooth_content():
 def test_roundtrip_property_with_b_frames(frames, gop, data):
     b = data.draw(st.integers(0, gop - 1))
     src = make_video(frames=frames, gop=gop, b=b, w=16, h=12, vid=f"p{frames}")
-    dec = Decoder(encode_video(src))
+    dec = IncrementalDecoder(encode_video(src), cache=AnchorCache(0))
     wanted = data.draw(
         st.lists(st.integers(0, frames - 1), min_size=1, max_size=5)
     )

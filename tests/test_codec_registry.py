@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codec import (
-    Decoder,
+    IncrementalDecoder,
     IntraDecoder,
     UnknownCodecError,
     decoder_for_path,
@@ -66,7 +66,7 @@ def test_intra_rejects_garbage_and_out_of_range():
 
 def test_open_decoder_sniffs_magic():
     src = make_source()
-    assert isinstance(open_decoder(encode_video(src)), Decoder)
+    assert isinstance(open_decoder(encode_video(src)), IncrementalDecoder)
     assert isinstance(open_decoder(encode_intra_video(src)), IntraDecoder)
     with pytest.raises(UnknownCodecError):
         open_decoder(b"MPEGnope")
@@ -76,9 +76,9 @@ def test_decoder_for_path_uses_extension():
     src = make_source()
     intra = encode_intra_video(src)
     assert isinstance(decoder_for_path("video.svi", intra), IntraDecoder)
-    assert isinstance(
-        decoder_for_path("video.svc", encode_video(src)), Decoder
-    )
+    inter = decoder_for_path("video.svc", encode_video(src))
+    assert isinstance(inter, IncrementalDecoder)
+    assert inter.cache.budget_bytes == 0  # stateless between calls
     with pytest.raises(UnknownCodecError):
         decoder_for_path("video.mp4", intra)
 

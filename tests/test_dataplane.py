@@ -6,7 +6,7 @@ The hard invariants:
 * every frame is CRC-guarded and version-checked — corruption, skew, and
   oversized payloads fail loudly before any allocation;
 * batches served over a socket are byte-identical to ``engine.get_batch``
-  across seeds, fused and unfused, and under the capstone fault schedule
+  across seeds and under the capstone fault schedule
   (clean ERR frame + retry, never a corrupt batch);
 * the pooled delivery path leaks no leases: after every drain the pool
   reports zero outstanding.
@@ -407,16 +407,11 @@ def serve(engine, tmp_path, name="dp.sock", **kwargs):
     return server
 
 
-@pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_socket_batches_byte_identical_to_get_batch(dataset, tmp_path, seed, fusion):
+def test_socket_batches_byte_identical_to_get_batch(dataset, tmp_path, seed):
     plan = build_plan_window([make_config()], dataset, 0, 2, seed=seed)
-    reference = PreprocessingEngine(
-        plan, dataset, num_workers=0, fusion_enabled=fusion, seed=seed
-    )
-    engine = PreprocessingEngine(
-        plan, dataset, num_workers=0, fusion_enabled=fusion, seed=seed
-    )
+    reference = PreprocessingEngine(plan, dataset, num_workers=0, seed=seed)
+    engine = PreprocessingEngine(plan, dataset, num_workers=0, seed=seed)
     with engine:
         server = serve(engine, tmp_path)
         try:

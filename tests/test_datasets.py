@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.codec.decoder import Decoder
+from repro.codec import AnchorCache, IncrementalDecoder
 from repro.datasets import (
     DATASET_PROFILES,
     DatasetSpec,
@@ -49,7 +49,7 @@ def test_frame_counts_within_spec():
 def test_encoded_bytes_decode_back():
     ds = SyntheticDataset(DatasetSpec(num_videos=2, min_frames=20, max_frames=25))
     vid = ds.video_ids[0]
-    decoder = Decoder(ds.get_bytes(vid))
+    decoder = IncrementalDecoder(ds.get_bytes(vid), cache=AnchorCache(0))
     assert decoder.metadata.video_id == vid
     frames = decoder.decode_frames([0, 5])
     import numpy as np

@@ -36,6 +36,7 @@ from repro.storage import RetryPolicy
 from repro.storage.local import LocalStore
 from repro.storage.objectstore import ObjectStore
 from repro.vfs.errors import FileNotFoundVfsError, NoAttributeError
+from tests.reference_materializer import ReferenceMaterializer
 
 
 def make_config(tag="t", vpb=2, frames=4, stride=2, crop=(12, 12)):
@@ -283,11 +284,11 @@ def test_demand_only_epoch_leaves_no_single_use_leaf_behind(dataset, seed, fault
     )
     schedule = capstone_with_decode_faults(seed) if faulty else None
     engine, store, _ = cached_engine(plan, dataset, schedule, num_workers=0)
-    reference = PreprocessingEngine(plan, dataset, num_workers=0, fusion_enabled=False)
+    reference = ReferenceMaterializer(plan, dataset)
     slots = 0
     for key in sorted(plan.batches):
         batch, _ = engine.get_batch(*key)
-        assert np.array_equal(batch, reference.get_batch(*key)[0]), key
+        assert np.array_equal(batch, reference.get_batch(*key)), key
         slots += len(plan.batches[key].samples)
     # Every leaf went straight into its only batch: nothing stored, nothing
     # memoized, no slot filled by get + copy — from the first batch on.
@@ -318,8 +319,8 @@ def test_leaf_is_consumed_only_once_its_slot_write_succeeded(dataset, plan):
     assert engine.consumed_keys() == set()
     assert engine.dataplane_report()["leases_outstanding"] == 0  # lease given back
     batch, _ = engine.get_batch("t", 0, 0)
-    reference = PreprocessingEngine(plan, dataset, num_workers=0, fusion_enabled=False)
-    assert np.array_equal(batch, reference.get_batch("t", 0, 0)[0])
+    reference = ReferenceMaterializer(plan, dataset)
+    assert np.array_equal(batch, reference.get_batch("t", 0, 0))
     assert engine.consumed_keys() == {key for _, key in plan.batches[("t", 0, 0)].samples}
     assert not set(store.keys())
 
@@ -367,10 +368,10 @@ def test_discarded_speculative_batch_is_recomputed_on_demand(
         else:
             engine.retire()
         assert engine.prefetch_queue_depth() == 0
-        reference = PreprocessingEngine(plan, dataset, num_workers=0, fusion_enabled=False)
+        reference = ReferenceMaterializer(plan, dataset)
         for key in sorted(plan.batches)[:2]:
             lease, _ = engine.get_batch_lease(*key)
-            assert zlib.crc32(lease.array) == zlib.crc32(reference.get_batch(*key)[0])
+            assert zlib.crc32(lease.array) == zlib.crc32(reference.get_batch(*key))
             lease.release()
         assert engine.stats.prefetch.hits == 0  # recomputed, not handed over
         assert not speculated & set(store.keys())

@@ -44,6 +44,7 @@ from repro.storage.blobs import BlobError, decode_array
 from repro.storage.local import LocalStore
 from repro.storage.objectstore import CorruptObjectError, ObjectStore
 from repro.storage.remote import RemoteStore
+from tests.reference_materializer import ReferenceMaterializer
 
 pytestmark = pytest.mark.faults
 
@@ -643,7 +644,7 @@ def test_tiered_epoch_survives_tier_outage_compaction_crash_and_tier_loss(
 def test_fused_engine_under_faults_matches_unfused_fault_free_run(dataset, plan):
     """Operator fusion must not weaken the capstone guarantee: a *fused*
     engine under the capstone fault schedule still produces batches
-    byte-identical to an *unfused* fault-free run.
+    byte-identical to the fault-free step-by-step oracle.
     """
     schedule = FaultSchedule(
         seed=SEED,
@@ -666,7 +667,6 @@ def test_fused_engine_under_faults_matches_unfused_fault_free_run(dataset, plan)
         num_workers=2,
         fault_schedule=schedule,
         retry_policy=FAST_RETRY,
-        fusion_enabled=True,
     )
     with engine:
         engine.drain()
@@ -675,12 +675,10 @@ def test_fused_engine_under_faults_matches_unfused_fault_free_run(dataset, plan)
         for vid in plan.graphs:
             engine._materializer(vid).release_all()
 
-        reference = PreprocessingEngine(
-            plan, dataset, num_workers=0, fusion_enabled=False
-        )
+        reference = ReferenceMaterializer(plan, dataset)
         for (task, epoch, iteration) in sorted(plan.batches):
             batch, _ = engine.get_batch(task, epoch, iteration)
-            expected, _ = reference.get_batch(task, epoch, iteration)
+            expected = reference.get_batch(task, epoch, iteration)
             assert np.array_equal(batch, expected), (task, epoch, iteration)
 
     assert engine.stats.batches_served == len(plan.batches)
@@ -719,7 +717,6 @@ def test_fused_engine_under_faults_is_sanitizer_clean(dataset, plan):
             num_workers=2,
             fault_schedule=schedule,
             retry_policy=FAST_RETRY,
-            fusion_enabled=True,
         )
         with engine:
             engine.drain()

@@ -2,7 +2,8 @@
 
 The hard invariant: a fused plan produces the *exact bytes* of the
 step-by-step chain it compiles — across seeds, op orderings, pad modes,
-and through the materializer/engine copy-elision paths — while the
+and through the materializer/engine copy-elision paths, where the
+step-by-step walk is ``tests/reference_materializer.py`` — while the
 traffic ledger shows the fused path doing measurably less work.
 """
 
@@ -28,6 +29,7 @@ from repro.core import (
 )
 from repro.datasets import DatasetSpec, SyntheticDataset
 from repro.storage.objectstore import ObjectStore
+from tests.reference_materializer import ReferenceMaterializer
 
 REGISTRY = default_registry()
 
@@ -273,19 +275,36 @@ def plan(dataset):
     return build_plan_window([make_config()], dataset, 0, 2, seed=5)
 
 
-def test_materializer_fused_leaves_match_unfused(dataset, plan):
-    for vid in plan.graphs:
-        graph = plan.graphs[vid]
-        fused = VideoMaterializer(graph, dataset.get_bytes(vid), fusion_enabled=True)
-        unfused = VideoMaterializer(graph, dataset.get_bytes(vid), fusion_enabled=False)
-        for leaf in graph.leaves():
-            a = fused.get(leaf.key)
-            b = unfused.get(leaf.key)
-            assert a.dtype == b.dtype and np.array_equal(a, b), leaf.key
+@pytest.mark.parametrize("stored", [False, True], ids=["no_store", "store"])
+def test_materializer_fused_leaves_match_reference(dataset, plan, stored):
+    """Every leaf of every video equals the oracle's: computed straight
+    into a buffer, or persisted with every leaf on the frontier and read
+    back by a cold materializer."""
+    for vid, graph in plan.graphs.items():
+        leaves = graph.leaves()
+        store = ObjectStore(10**8) if stored else None
+        frontier = {leaf.key for leaf in leaves} if stored else None
+        fused = VideoMaterializer(graph, dataset.get_bytes(vid), cache=store,
+                                  frontier=frontier)
+        reader = fused
+        if stored:
+            assert fused.materialize_frontier() == len(leaves)
+            reader = VideoMaterializer(graph, dataset.get_bytes(vid), cache=store,
+                                       frontier=frontier)
+        oracle = ReferenceMaterializer(plan, dataset)
+        for leaf in leaves:
+            expected = oracle.get(vid, leaf.key)
+            out = np.empty_like(expected)
+            reader.get_into(leaf.key, out)
+            assert np.array_equal(out, expected), leaf.key
         # Same logical op counts either way; far fewer physical passes.
-        assert fused.stats.ops_applied == unfused.stats.ops_applied
-        assert fused.stats.traffic.clip_passes * 2 <= unfused.stats.traffic.clip_passes
-        assert fused.stats.traffic.bytes_copied <= 0.6 * unfused.stats.traffic.bytes_copied
+        assert fused.stats.ops_applied == oracle.ops_applied
+        assert fused.stats.traffic.clip_passes * 2 <= oracle.traffic.clip_passes
+        assert fused.stats.traffic.bytes_copied <= 0.6 * oracle.traffic.bytes_copied
+        if stored:
+            assert reader.stats.cache_hits == len(leaves)
+            assert reader.stats.ops_applied == {}
+            assert reader.stats.frames_decoded == 0
 
 
 def test_materializer_get_into_matches_get(dataset, plan):
@@ -331,7 +350,7 @@ def test_fused_materializer_still_persists_frontier(dataset, plan):
     store = ObjectStore(10**8)
     frontier = {leaf.key for leaf in graph.leaves()}
     mat = VideoMaterializer(graph, dataset.get_bytes(vid), cache=store,
-                            frontier=frontier, fusion_enabled=True)
+                            frontier=frontier)
     mat.materialize_frontier()
     assert mat.stats.cache_stores == len(frontier)
 
@@ -342,27 +361,26 @@ def test_fused_materializer_still_persists_frontier(dataset, plan):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_engine_fused_batches_byte_identical_across_seeds(dataset, seed):
     window = build_plan_window([make_config()], dataset, 0, 1, seed=seed)
-    fused = PreprocessingEngine(window, dataset, num_workers=0, fusion_enabled=True)
-    unfused = PreprocessingEngine(window, dataset, num_workers=0, fusion_enabled=False)
+    fused = PreprocessingEngine(window, dataset, num_workers=0)
+    oracle = ReferenceMaterializer(window, dataset)
     for key in sorted(window.batches):
-        a, meta_a = fused.get_batch(*key)
-        b, meta_b = unfused.get_batch(*key)
+        a, _ = fused.get_batch(*key)
+        b = oracle.get_batch(*key)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b), key
-        assert meta_a == meta_b
-    assert fused.stats.traffic.clip_passes * 2 <= unfused.stats.traffic.clip_passes
-    assert fused.stats.traffic.bytes_copied <= 0.6 * unfused.stats.traffic.bytes_copied
+    assert fused.stats.traffic.clip_passes * 2 <= oracle.traffic.clip_passes
+    assert fused.stats.traffic.bytes_copied <= 0.6 * oracle.traffic.bytes_copied
     assert fused.stats.traffic.fused_segments > 0
 
 
 def test_engine_fused_with_premat_workers_matches_unfused(dataset, plan):
-    fused = PreprocessingEngine(plan, dataset, num_workers=2, fusion_enabled=True)
-    unfused = PreprocessingEngine(plan, dataset, num_workers=0, fusion_enabled=False)
+    fused = PreprocessingEngine(plan, dataset, num_workers=2)
+    oracle = ReferenceMaterializer(plan, dataset)
     with fused:
         fused.drain()
         for key in sorted(plan.batches):
             a, _ = fused.get_batch(*key)
-            b, _ = unfused.get_batch(*key)
+            b = oracle.get_batch(*key)
             assert np.array_equal(a, b), key
 
 

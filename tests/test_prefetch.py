@@ -1,8 +1,8 @@
 """Demand-path pipelining tests (S5.4, Fig 11).
 
 The prefetcher's contract is strict: batches with prefetch on are
-byte-identical to prefetch off — across seeds, fused and unfused, and
-under the PR 2 capstone fault schedule.  The unit tests drive the
+byte-identical to prefetch off — across seeds and under the capstone
+fault schedule.  The unit tests drive the
 :class:`BatchPrefetcher` against a fake source; the differentials run
 the real engine both ways.
 """
@@ -345,12 +345,11 @@ def test_stats_snapshot_is_detached():
 # -- engine differentials: prefetch on == prefetch off -----------------------
 
 
-def run_engine_window(dataset, plan, *, fusion, prefetch_depth, seed):
+def run_engine_window(dataset, plan, *, prefetch_depth, seed):
     engine = PreprocessingEngine(
         plan,
         dataset,
         num_workers=0,
-        fusion_enabled=fusion,
         seed=seed,
         prefetch_depth=prefetch_depth,
         prefetch_workers=2,
@@ -363,16 +362,11 @@ def run_engine_window(dataset, plan, *, fusion, prefetch_depth, seed):
     return engine, batches
 
 
-@pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_prefetch_on_is_byte_identical_to_off(dataset, seed, fusion):
+def test_prefetch_on_is_byte_identical_to_off(dataset, seed):
     plan = build_plan_window([make_config()], dataset, 0, 2, seed=seed)
-    ref_engine, reference = run_engine_window(
-        dataset, plan, fusion=fusion, prefetch_depth=0, seed=seed
-    )
-    engine, pipelined = run_engine_window(
-        dataset, plan, fusion=fusion, prefetch_depth=2, seed=seed
-    )
+    ref_engine, reference = run_engine_window(dataset, plan, prefetch_depth=0, seed=seed)
+    engine, pipelined = run_engine_window(dataset, plan, prefetch_depth=2, seed=seed)
     for key in sorted(plan.batches):
         expected, expected_md = reference[key]
         batch, metadata = pipelined[key]
@@ -420,7 +414,7 @@ def test_engine_stats_prefetch_zeroed_when_off(dataset):
 
 def test_traffic_report_rolls_in_prefetch_counters(dataset):
     plan = build_plan_window([make_config()], dataset, 0, 2, seed=5)
-    engine, _ = run_engine_window(dataset, plan, fusion=True, prefetch_depth=2, seed=5)
+    engine, _ = run_engine_window(dataset, plan, prefetch_depth=2, seed=5)
     report = engine.stats.traffic_report()
     stats = engine.stats.prefetch
     assert report["prefetch"] == stats.as_dict()
@@ -480,8 +474,7 @@ def test_window_rolls_leak_no_speculative_leases(dataset):
 
 
 @pytest.mark.faults
-@pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
-def test_prefetch_differential_under_capstone_faults(dataset, fusion):
+def test_prefetch_differential_under_capstone_faults(dataset):
     """Prefetch on, under 5% storage faults + one worker crash, still
     equals the fault-free prefetch-off run byte for byte."""
     plan = build_plan_window([make_config()], dataset, 0, 2, seed=5)
@@ -508,9 +501,8 @@ def test_prefetch_differential_under_capstone_faults(dataset, fusion):
         seed=FAULT_SEED,
         prefetch_depth=2,
         prefetch_workers=2,
-        fusion_enabled=fusion,
     )
-    reference = PreprocessingEngine(plan, dataset, num_workers=0, fusion_enabled=fusion)
+    reference = PreprocessingEngine(plan, dataset, num_workers=0)
     with engine:
         engine.drain()
         for key in sorted(plan.batches):

@@ -1,12 +1,12 @@
 """Differential suite for near-duplicate reuse.
 
 The safety contract: ``reuse_threshold=0`` and anchor caching are
-*output-invariant* — byte-identical to a reference engine that caches no
-anchors (``AnchorCache(0)``) across seeds, fused and unfused, and under
-the capstone fault schedule.  At ``reuse_threshold >
+*output-invariant* — byte-identical to the step-by-step oracle
+(``tests/reference_materializer.py``, which caches no anchors) across
+seeds and under the capstone fault schedule.  At ``reuse_threshold >
 0`` the outputs legitimately change (near-duplicates collapse onto their
-effective frame), but fused slot reuse must still match the unfused
-engine at the same threshold, and every skipped pass must appear in the
+effective frame), but fused slot reuse must still match the oracle at
+the same threshold, and every skipped pass must appear in the
 TrafficLedger.
 """
 
@@ -39,6 +39,7 @@ from repro.faults import (
 from repro.storage import RetryPolicy
 from repro.storage.local import LocalStore
 from tests.reference_decoder import reference_decode
+from tests.reference_materializer import ReferenceMaterializer
 
 FAST_RETRY = RetryPolicy(max_retries=3, base_delay_s=0.0, max_delay_s=0.0)
 
@@ -108,28 +109,20 @@ def run_all_batches(engine, plan):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("fused", [False, True])
-def test_clairvoyant_zero_threshold_is_byte_identical(dataset, seed, fused):
+def test_clairvoyant_zero_threshold_is_byte_identical(dataset, seed):
     plan = build_plan_window([make_config()], dataset, 0, 2, seed=seed)
-    engine = PreprocessingEngine(
-        plan, dataset, num_workers=0, fusion_enabled=fused,
-        reuse_threshold=0.0,
-    )
-    reference = PreprocessingEngine(
-        plan, dataset, num_workers=0, fusion_enabled=False,
-        anchor_cache=AnchorCache(0),
-    )
+    engine = PreprocessingEngine(plan, dataset, num_workers=0, reuse_threshold=0.0)
+    reference = ReferenceMaterializer(plan, dataset)
     for key in sorted(plan.batches):
         batch, _ = engine.get_batch(*key)
-        expected, _ = reference.get_batch(*key)
+        expected = reference.get_batch(*key)
         assert np.array_equal(batch, expected), key
     assert engine.stats.frames_skipped_near_duplicate == 0
 
 
 def test_clairvoyant_under_capstone_faults_matches_fault_free_run(dataset):
     """The capstone fault schedule with anchor caching + threshold 0 still
-    yields batches byte-identical to a fault-free, anchor-cache-free,
-    unfused run."""
+    yields batches byte-identical to the fault-free oracle."""
     plan = build_plan_window([make_config()], dataset, 0, 2, seed=5)
     schedule = FaultSchedule(
         seed=0,
@@ -146,17 +139,14 @@ def test_clairvoyant_under_capstone_faults_matches_fault_free_run(dataset):
     engine = PreprocessingEngine(
         plan, dataset, pruning=pruning, cache=cache, num_workers=2,
         fault_schedule=schedule, retry_policy=FAST_RETRY,
-        fusion_enabled=True, reuse_threshold=0.0,
+        reuse_threshold=0.0,
     )
-    reference = PreprocessingEngine(
-        plan, dataset, num_workers=0, fusion_enabled=False,
-        anchor_cache=AnchorCache(0),
-    )
+    reference = ReferenceMaterializer(plan, dataset)
     with engine:
         engine.drain()
         for key in sorted(plan.batches):
             batch, _ = engine.get_batch(*key)
-            expected, _ = reference.get_batch(*key)
+            expected = reference.get_batch(*key)
             assert np.array_equal(batch, expected), key
     assert engine.stats.worker_crashes == 1
     assert engine.stats.batches_served == len(plan.batches)
@@ -194,12 +184,12 @@ def test_anchor_cache_shared_across_rolls_under_eviction(dataset, seed):
     assert shared.bytes_used <= shared.budget_bytes
 
 
-# -- near-duplicate reuse: accounting and fused/unfused agreement -----------------
+# -- near-duplicate reuse: accounting and agreement with the oracle ---------------
 
 
 def test_fused_slot_reuse_matches_unfused_at_same_threshold(lowmo_dataset):
-    """Slot reuse is pure copy elision: at any threshold the fused engine
-    must byte-match the unfused engine at the *same* threshold, with the
+    """Slot reuse is pure copy elision: at any threshold the engine must
+    byte-match the step-by-step oracle at the *same* threshold, with the
     ledger recording the skipped augment passes (sanitizers forced on)."""
     from repro.analysis.sanitizers import reset_sanitizers, set_sanitizers
 
@@ -210,16 +200,15 @@ def test_fused_slot_reuse_matches_unfused_at_same_threshold(lowmo_dataset):
     reset_sanitizers()
     try:
         fused = PreprocessingEngine(
-            plan, lowmo_dataset, num_workers=0, fusion_enabled=True,
+            plan, lowmo_dataset, num_workers=0,
             reuse_threshold=LOW_MOTION_THRESHOLD,
         )
-        unfused = PreprocessingEngine(
-            plan, lowmo_dataset, num_workers=0, fusion_enabled=False,
-            reuse_threshold=LOW_MOTION_THRESHOLD,
+        reference = ReferenceMaterializer(
+            plan, lowmo_dataset, reuse_threshold=LOW_MOTION_THRESHOLD
         )
         for key in sorted(plan.batches):
             batch, _ = fused.get_batch(*key)
-            expected, _ = unfused.get_batch(*key)
+            expected = reference.get_batch(*key)
             assert np.array_equal(batch, expected), key
         report = fused.sanitizer_report()
         assert report is not None and report.clean(), report.as_dict()
@@ -244,16 +233,12 @@ def test_threshold_changes_are_inert_on_high_motion_content(dataset):
     engine must remain byte-identical to the reference."""
     plan = build_plan_window([make_config()], dataset, 0, 1, seed=4)
     engine = PreprocessingEngine(
-        plan, dataset, num_workers=0, fusion_enabled=True,
-        reuse_threshold=LOW_MOTION_THRESHOLD,
+        plan, dataset, num_workers=0, reuse_threshold=LOW_MOTION_THRESHOLD
     )
-    reference = PreprocessingEngine(
-        plan, dataset, num_workers=0, fusion_enabled=False,
-        anchor_cache=AnchorCache(0),
-    )
+    reference = ReferenceMaterializer(plan, dataset)
     for key in sorted(plan.batches):
         batch, _ = engine.get_batch(*key)
-        expected, _ = reference.get_batch(*key)
+        expected = reference.get_batch(*key)
         assert np.array_equal(batch, expected), key
     assert engine.stats.frames_skipped_near_duplicate == 0
     assert engine.stats.traffic.reused_slots == 0
