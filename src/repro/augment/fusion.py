@@ -210,9 +210,6 @@ class GatherSegment:
     fill: Optional[int] = None
     epilogue: Optional[Tuple[AugmentOp, Params]] = None
 
-    def out_hw(self) -> Tuple[int, int]:
-        return (len(self.y), len(self.x))
-
     def _apply_fill(self, array: np.ndarray, value: float) -> None:
         if self.y.valid is not None:
             array[:, ~self.y.valid, :, :] = value
@@ -377,11 +374,6 @@ class FusedPlan:
     segments: List[Segment] = field(default_factory=list)
     identity_ops: Tuple[str, ...] = ()
     total_ops: int = 0
-
-    @property
-    def fused_away(self) -> int:
-        """Ops that no longer execute as their own pass."""
-        return self.total_ops - len(self.segments)
 
     def out_dtype(self, in_dtype: np.dtype) -> Optional[np.dtype]:
         """Result dtype for ``in_dtype`` input, or None if not static."""

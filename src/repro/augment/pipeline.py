@@ -256,13 +256,6 @@ class AugmentationPlan:
             if op.spatial_window
         ]
 
-    def max_depth(self) -> int:
-        """Upper bound on ops applied along any path (the aug{depth} axis)."""
-        return sum(
-            max((len(b.ops) for b in block.branches), default=0)
-            for block in self.blocks
-        )
-
     def resolve(
         self,
         context: Mapping[str, Any],

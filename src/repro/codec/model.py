@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 
 class FrameType(enum.Enum):
@@ -130,11 +130,6 @@ class GopStructure:
     def gop_of(self, index: int) -> int:
         return index // self.size
 
-    def frames_in_gop(self, gop: int, num_frames: int) -> Iterator[int]:
-        start = gop * self.size
-        stop = min(start + self.size, num_frames)
-        return iter(range(start, stop))
-
 
 @dataclass(frozen=True)
 class VideoMetadata:
@@ -165,10 +160,6 @@ class VideoMetadata:
     @property
     def gop(self) -> GopStructure:
         return GopStructure(self.gop_size, self.b_frames)
-
-    @property
-    def duration_s(self) -> float:
-        return self.num_frames / self.fps
 
     @property
     def megapixels(self) -> float:

@@ -235,12 +235,6 @@ class MaterializationPlan:
     def epochs(self) -> List[int]:
         return list(range(self.epoch_start, self.epoch_start + self.k_epochs))
 
-    def batch_order(self, task: str) -> List[BatchAssembly]:
-        """Batches of one task in training order across the window."""
-        out = [b for b in self.batches.values() if b.task == task]
-        out.sort(key=lambda b: (b.epoch, b.iteration))
-        return out
-
     def global_step(self, task: str, epoch: int, iteration: int) -> int:
         """Per-task step index within this plan window (deadline axis)."""
         per_epoch = self.iterations_per_epoch[task]
@@ -306,18 +300,6 @@ class MaterializationPlan:
         return sum(
             node.size_bytes for g in self.graphs.values() for node in g.leaves()
         )
-
-
-class DatasetLike:
-    """Structural interface plans need from a dataset (duck-typed)."""
-
-    video_ids: List[str]
-
-    def metadata(self, video_id: str) -> VideoMetadata:  # pragma: no cover
-        raise NotImplementedError
-
-    def encoded_size(self, video_id: str) -> int:  # pragma: no cover
-        raise NotImplementedError
 
 
 def build_plan_window(

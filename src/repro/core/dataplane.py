@@ -3,17 +3,19 @@
 Delivery is a first-class, accounted stage (the QuickVideo-style overlap
 of decode → prefetch → delivery):
 
-* :class:`BufferPool` — reference-counted delivery buffers.  Assembly's
-  fused epilogue writes the final batch bytes straight into a pooled
-  buffer (:class:`BatchLease`); that one lease travels through the
-  prefetcher's ready queue, across the socket, or into the trainer's
-  hands (``source.get_batch_lease(...)`` is the in-process API: ~0 bytes
-  copied per batch), and the buffer returns to the pool when the last
-  holder releases it (client ACK, disconnect, or an explicit
+* :class:`BufferPool` — recycled delivery buffers.  Assembly's fused
+  epilogue writes the final batch bytes straight into a pooled buffer
+  (:class:`BatchLease`); that one lease travels, one owner at a time,
+  through the prefetcher's ready queue, across the socket, or into the
+  trainer's hands (``source.get_batch_lease(...)`` is the in-process
+  API: ~0 bytes copied per batch), and the buffer returns to the pool
+  when its owner releases it (client ACK, disconnect, or an explicit
   ``release``).  ``detach`` removes a buffer from the pool for good —
   how ``get_batch`` hands the trainer an owned array with zero copies.
   Whoever must learn that the buffer left the lease (the coordinator's
-  admission ticket) hangs one ``on_release`` hook on it.
+  admission ticket) hangs one ``on_release`` hook on it.  The lease
+  also books its own deliveries (a socket send, a POSIX copy) to the
+  engine that assembled it.
 * :class:`AsyncBatchServer` — an asyncio front end serving ``get_batch``
   to many concurrent trainer connections over a Unix-domain or TCP
   socket, speaking :mod:`repro.core.wire`.  A batch that is *ready* is
@@ -32,8 +34,8 @@ bounded upstream by the prefetcher's depth and the engine's
 memory-pressure probe, which both count leased bytes), the server
 pipelines at most one outstanding batch per connection, and queued
 leases count toward engine memory accounting exactly as owned arrays
-did.  The latency/wait counters here are observability only (never
-inputs to a scheduling decision), hence the wall-clock lint pragmas.
+did.  Every frame either side reads is bounded by
+``wire.DEFAULT_MAX_PAYLOAD``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import functools
 import os
 import socket
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
@@ -96,48 +97,53 @@ class NotReady(Exception):
 class BatchLease:
     """One delivery buffer checked out of a :class:`BufferPool`.
 
-    Reference-counted: every additional holder calls :meth:`retain`,
-    every holder calls :meth:`release`, and the buffer re-enters the
-    pool's free list when the count hits zero.  :meth:`detach`
-    permanently removes the buffer from the pool (the owned-array
-    compatibility path); after a detach, releases are no-ops.
+    Single-owner: whoever holds the lease ends it once, by
+    :meth:`release` (the buffer re-enters the pool's free list) or by
+    :meth:`detach` (the buffer leaves the pool for good: the owned-array
+    path).  Both are idempotent and thread-safe; a release after a
+    detach is a no-op.
 
-    ``on_release``, when set, is called exactly once, outside the pool
-    lock, when the buffer leaves the lease: on the last ``release`` or
-    on ``detach``, whichever happens.
+    ``charge``, stamped by the engine that assembled the batch, is that
+    engine's delivery ledger: :meth:`book_send` and :meth:`book_copy`
+    charge it one delivery of these bytes (a lease from a bare pool
+    books nothing).  ``on_release``, when set, is called exactly once,
+    outside the pool lock, when the buffer leaves the lease.
     """
 
-    __slots__ = ("_pool", "array", "_refs", "_detached", "on_release")
+    __slots__ = ("_pool", "array", "_held", "_detached", "on_release", "charge")
 
     def __init__(self, pool: "BufferPool", array: np.ndarray):
         self._pool = pool
         self.array = array
-        self._refs = 1
+        self._held = True
         self._detached = False
         self.on_release: Optional[Callable[[], None]] = None
+        self.charge: Optional[Callable[[int, bool], None]] = None
 
     @property
     def nbytes(self) -> int:
         return int(self.array.nbytes)
 
-    def retain(self) -> "BatchLease":
-        with self._pool._lock:
-            if self._refs <= 0:
-                raise DataPlaneError("retain() after the lease was fully released")
-            self._refs += 1
-        return self
+    def book_send(self) -> None:
+        """Charge one socket write of this buffer to its engine."""
+        if self.charge is not None:
+            self.charge(self.nbytes, True)
+
+    def book_copy(self) -> None:
+        """Charge one non-socket trainer-boundary copy (a POSIX blob
+        encode) of this buffer to its engine."""
+        if self.charge is not None:
+            self.charge(self.nbytes, False)
 
     def release(self) -> None:
-        """Drop one reference (idempotent past zero)."""
+        """Return the buffer to the pool (idempotent; no-op after detach)."""
         pool = self._pool
         with pool._lock:
-            if self._refs <= 0:
+            if not self._held:
                 return
-            self._refs -= 1
-            last = self._refs == 0 and not self._detached
-        if last:
-            pool._reclaim(self.array)
-            self._left()
+            self._held = False
+        pool._reclaim(self.array)
+        self._left()
 
     def detach(self) -> np.ndarray:
         """Take the buffer out of the pool for good and return it."""
@@ -145,8 +151,9 @@ class BatchLease:
         with pool._lock:
             if self._detached:
                 return self.array
-            if self._refs <= 0:
-                raise DataPlaneError("detach() after the lease was fully released")
+            if not self._held:
+                raise DataPlaneError("detach() after the lease was released")
+            self._held = False
             self._detached = True
             pool._outstanding -= 1
             pool._detached_count += 1
@@ -154,8 +161,8 @@ class BatchLease:
         return self.array
 
     def _left(self) -> None:
-        # Reached once per lease: by the release that took the count to
-        # zero, or by the one detach that flipped the flag, never both.
+        # Reached once per lease: by the release or the detach that
+        # ended the hold, never both.
         if self.on_release is not None:
             self.on_release()
 
@@ -191,11 +198,9 @@ class BufferPool:
         self._reuses = 0
         self._returned = 0
         self._detached_count = 0
-        self._wait_ns = 0
 
     def acquire(self, shape: Tuple[int, ...], dtype: Any) -> BatchLease:
         """Lease a buffer of ``shape``/``dtype`` (recycled or fresh)."""
-        started = time.perf_counter_ns()  # sandlint: ignore[wall-clock]
         key = (tuple(int(d) for d in shape), np.dtype(dtype).str)
         with self._lock:
             stack = self._free.get(key)
@@ -208,9 +213,6 @@ class BufferPool:
                 self._reuses += 1
         if array is None:
             array = np.empty(key[0], dtype=np.dtype(dtype))
-        elapsed = time.perf_counter_ns() - started  # sandlint: ignore[wall-clock]
-        with self._lock:
-            self._wait_ns += elapsed
         return BatchLease(self, array)
 
     def _reclaim(self, array: np.ndarray) -> None:
@@ -239,7 +241,6 @@ class BufferPool:
             return {
                 "leases_issued": self._issued,
                 "leases_outstanding": self._outstanding,
-                "lease_wait_ns": self._wait_ns,
                 "buffers_allocated": self._allocations,
                 "buffers_reused": self._reuses,
                 "buffers_returned": self._returned,
@@ -286,8 +287,7 @@ class AsyncBatchServer:
     ``NotReady`` does the same call, without ``wait``, go to the bounded
     executor — so the loop itself never blocks, and ``report()`` tells
     the two ways apart (``served_inline`` / ``served_executor``).
-    ``note_send`` on the source, when present, receives per-send byte
-    counts for the traffic ledger.
+    Each send is booked on the lease it writes (:meth:`BatchLease.book_send`).
     """
 
     def __init__(
@@ -296,17 +296,14 @@ class AsyncBatchServer:
         unix_path: Optional[str] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_payload: int = wire.DEFAULT_MAX_PAYLOAD,
         executor_workers: int = 8,
     ):
         if not hasattr(source, "get_batch_lease"):
             raise TypeError(f"{type(source).__name__} does not expose get_batch_lease")
         self._source = source
-        self._note_send: Optional[Callable[..., None]] = getattr(source, "note_send", None)
         self._unix_path = unix_path
         self._host = host
         self._port = int(port)
-        self._max_payload = int(max_payload)
         if executor_workers < 1:
             raise ValueError(f"executor_workers must be >= 1, got {executor_workers}")
         self._executor_workers = int(executor_workers)
@@ -515,8 +512,7 @@ class AsyncBatchServer:
                     # client that already received the batch can never
                     # run ahead of these counters.
                     self._count(sends=1, bytes_sent=lease.nbytes)
-                    if self._note_send is not None:
-                        self._note_send(lease.nbytes, task=request.get("task"))
+                    lease.book_send()
                     parts = wire.batch_frame_parts(metadata, lease.array)
                     sndbuf = await self._send_batch(loop, conn, parts, sndbuf)
                 else:
@@ -585,7 +581,7 @@ class AsyncBatchServer:
         self, loop: asyncio.AbstractEventLoop, conn: socket.socket
     ) -> Tuple[wire.FrameType, bytearray]:
         header = await self._recv_exact(loop, conn, wire.HEADER_SIZE)
-        ftype, length = wire.unpack_header(header, max_payload=self._max_payload)
+        ftype, length = wire.unpack_header(header)
         return ftype, await self._recv_exact(loop, conn, length)
 
     @staticmethod
@@ -675,13 +671,7 @@ class BatchSocketClient:
     delivery buffer.
     """
 
-    def __init__(
-        self,
-        address: Address,
-        timeout: float = 60.0,
-        max_payload: int = wire.DEFAULT_MAX_PAYLOAD,
-    ):
-        self._max_payload = int(max_payload)
+    def __init__(self, address: Address, timeout: float = 60.0):
         if isinstance(address, str):
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(timeout)
@@ -774,7 +764,7 @@ class BatchSocketClient:
 
     def _read_frame(self) -> Tuple[wire.FrameType, bytearray]:
         header = self._recv_exact(wire.HEADER_SIZE)
-        ftype, length = wire.unpack_header(header, max_payload=self._max_payload)
+        ftype, length = wire.unpack_header(header)
         return ftype, self._recv_exact(length)
 
     def _recv_exact(self, n: int) -> bytearray:

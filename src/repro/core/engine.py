@@ -171,7 +171,7 @@ class PreprocessingEngine:
         # which folds the derived fields in first.
         self._stats = EngineStats()
         # Delivery buffers: batches are assembled straight into pooled,
-        # reference-counted leases (shared across engines when a service
+        # single-owner leases (shared across engines when a service
         # passes one pool in).  Logical ledger charges are unchanged by
         # pooling; physical reuse shows up in the pool's report only.
         self._owns_pool = delivery_pool is None
@@ -524,21 +524,15 @@ class PreprocessingEngine:
         return lease, metadata
 
     # -- delivery accounting ---------------------------------------------------
-    def note_send(self, nbytes: int, task: Optional[str] = None) -> None:
-        """Record one socket delivery of ``nbytes`` (wire path).
-
-        The socket write is the remote path's one unavoidable copy; it
-        is charged to the traffic ledger so ``bytes_copied`` stays
-        end-to-end truthful.
-        """
-        del task  # per-task attribution is the service's concern
-        with self._delivery_lock:
-            self._delivery_sends += 1
-            self._delivery_send_bytes += nbytes
-        self._engine_traffic.note_delivery(nbytes)
-
-    def note_delivery_copy(self, nbytes: int) -> None:
-        """Record one non-socket trainer-boundary copy (VFS blob encode)."""
+    def _charge_delivery(self, nbytes: int, send: bool) -> None:
+        """A lease this engine assembled was delivered once more: by a
+        socket write (``send``) or a POSIX blob encode.  Either copies
+        the batch at the trainer boundary, so the traffic ledger is
+        charged and ``bytes_copied`` stays end-to-end truthful."""
+        if send:
+            with self._delivery_lock:
+                self._delivery_sends += 1
+                self._delivery_send_bytes += nbytes
         self._engine_traffic.note_delivery(nbytes)
 
     def dataplane_report(self) -> Dict:
@@ -573,6 +567,7 @@ class PreprocessingEngine:
             spec = (array.shape, array.dtype)
         shape, dtype = spec
         lease = self.delivery_pool.acquire((len(assembly.samples),) + shape, dtype)
+        lease.charge = self._charge_delivery
         batch = lease.array
         self._engine_traffic.bytes_allocated += batch.nbytes
         direct = 0

@@ -636,22 +636,6 @@ class SandService(FileSystemProvider):
                 "dataplane": dataplane,
             }
 
-    def storage_maintenance(self) -> Dict:
-        """One background maintenance pass over the store.
-
-        Re-replicates under-replicated keys (tiered stores) and
-        compacts tombstoned pack segments; safe to call any time the
-        caller is not concurrently mutating the store from another
-        thread; single-tier stores have nothing to re-replicate.
-        """
-        with self._window_lock:
-            report: Dict = {}
-            repairer = getattr(self.store, "repair_scan", None)
-            if repairer is not None:
-                report["repair"] = repairer()
-            report["compaction"] = self.store.compact_packs()
-            return report
-
     # -- fault tolerance (S5.5) -------------------------------------------------
     def checkpoint(self, directory) -> Path:
         """Persist the current window's manifest for crash recovery."""
@@ -704,16 +688,6 @@ class SandService(FileSystemProvider):
         """
         engine = self.ensure_window(epoch, task=task, wait=wait)
         return engine.get_batch_lease(task, epoch, iteration, wait=wait)
-
-    def note_send(self, nbytes: int, task: Optional[str] = None) -> None:
-        """Charge one socket delivery to the owning engine's ledger."""
-        group = (
-            self._group(task)
-            if task is not None and task in self._task_group
-            else self._single_group()
-        )
-        if group.engine is not None:
-            group.engine.note_send(nbytes, task=task)
 
     def dataplane_report(self) -> Dict:
         """Per-group delivery-path stats plus the shared pool's health."""
@@ -839,14 +813,15 @@ class SandService(FileSystemProvider):
         dataset = self._group(view.task).dataset
         try:
             if isinstance(view, BatchView):
-                batch, metadata = self.batch(view.task, view.epoch, view.iteration)
-                # The blob encode below duplicates the batch for the
-                # POSIX read path — a real trainer-boundary copy, charged
-                # so the ledger stays end-to-end truthful.
-                engine = self._group(view.task).engine
-                if engine is not None:
-                    engine.note_delivery_copy(batch.nbytes)
-                handle = FileHandle(encode_array(batch), path)
+                lease, metadata = self.get_batch_lease(
+                    view.task, view.epoch, view.iteration
+                )
+                with lease:
+                    # The blob encode duplicates the batch for the POSIX
+                    # read path: a trainer-boundary copy, booked on the
+                    # lease; the buffer then goes back to the pool.
+                    lease.book_copy()
+                    handle = FileHandle(encode_array(lease.array), path)
                 handle.metadata = metadata  # type: ignore[attr-defined]
                 return handle
             if isinstance(view, VideoView):
@@ -879,10 +854,12 @@ class SandService(FileSystemProvider):
         if isinstance(view, BatchView):
             key = (view.task, view.epoch, view.iteration)
             if name in ("shape", "dtype"):
-                batch, _ = self.batch(*key)
-                if name == "shape":
-                    return json.dumps(list(batch.shape)).encode()
-                return str(batch.dtype).encode()
+                lease, _ = self.get_batch_lease(*key)
+                with lease:
+                    batch = lease.array
+                    if name == "shape":
+                        return json.dumps(list(batch.shape)).encode()
+                    return str(batch.dtype).encode()
             # Everything else is plan metadata: no batch is assembled for it.
             engine = self.ensure_window(view.epoch, task=view.task)
             metadata = engine.batch_metadata(engine.plan.batches[key])

@@ -173,15 +173,6 @@ class RebalanceReport:
     def moved_fraction(self) -> float:
         return self.moved_keys / self.tracked_keys if self.tracked_keys else 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "added": self.added,
-            "removed": self.removed,
-            "tracked_keys": self.tracked_keys,
-            "moved_keys": self.moved_keys,
-            "moved_fraction": self.moved_fraction,
-        }
-
 
 # -- the coordinator ----------------------------------------------------------
 
@@ -237,7 +228,6 @@ class ShardCoordinator(FileSystemProvider):
         self._dedup_hits = 0
         self._dedup_misses = 0
         self._batch_bytes: Dict[str, int] = {}  # task -> last seen batch bytes
-        self._last_shard_for_task: Dict[str, str] = {}
         # The fleet plans each window once: the first shard's cache
         # (which already holds whatever it planned) becomes everyone's.
         self.plan_cache = next(iter(shard_map.values())).plan_cache
@@ -444,7 +434,6 @@ class ShardCoordinator(FileSystemProvider):
             self._note_view_locked(key, (task, epoch, iteration))
             self._routed[shard_id] = self._routed.get(shard_id, 0) + 1
             self._served[shard_id] = self._served.get(shard_id, 0) + 1
-            self._last_shard_for_task[task] = shard_id
         return ticket, lease, metadata
 
     def get_batch(
@@ -490,7 +479,6 @@ class ShardCoordinator(FileSystemProvider):
                 continue
             with self._lock:
                 self._served[shard_id] = self._served.get(shard_id, 0) + 1
-                self._last_shard_for_task[task] = shard_id
             return result
         raise AllShardsDownError(
             f"all {len(order)} shard(s) failed serving "
@@ -501,19 +489,6 @@ class ShardCoordinator(FileSystemProvider):
         """Metadata query: answered from the fleet's plan, not counted
         as a routed batch and never rolling a window."""
         return self._plan(task, epoch).iterations_per_epoch[task]
-
-    def note_send(self, nbytes: int, task: Optional[str] = None) -> None:
-        """Charge a socket delivery to the shard that served the task last."""
-        with self._lock:
-            shard_id = (
-                self._last_shard_for_task.get(task)
-                if task is not None
-                else None
-            )
-            if shard_id is None or shard_id not in self._shards:
-                shard_id = self.ring.shards()[0]
-            shard = self._shards[shard_id]
-        shard.note_send(nbytes, task=task)
 
     def serve_async(
         self,

@@ -134,10 +134,6 @@ class AdmissionController:
             self._quotas[tenant] = quota
             self._cond.notify_all()
 
-    def quota_for(self, tenant: str) -> TenantQuota:
-        with self._cond:
-            return self._quotas.get(tenant, self.default_quota)
-
     def tenants(self) -> List[str]:
         with self._cond:
             names = set(self._quotas) | set(self._inflight) | set(self._served)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.rayx.asha import AshaScheduler, Decision
-from repro.sim.costs import BYTES_PER_TB, MODEL_PROFILES, NodeProfile
+from repro.sim.costs import BYTES_PER_TB, NodeProfile
 from repro.sim.kernel import Simulation
 from repro.simlab.node import SimNode
 from repro.simlab.pipelines import (
@@ -77,22 +77,6 @@ def single_task(
             [strategy], epochs=epochs, iterations_per_epoch=iterations_per_epoch
         )
     return out
-
-
-def preprocessing_ratios(model_key: str, iterations: int = 40) -> Dict[str, float]:
-    """Fig 2a: preprocessing-to-GPU-step time ratios per baseline.
-
-    Measured as (iteration time - step) / step under each on-demand
-    baseline; the iteration time is produce-bound when preprocessing is
-    the bottleneck, so this recovers the paper's ratio definition.
-    """
-    reports = single_task(model_key, strategies=("cpu", "gpu"), epochs=1,
-                          iterations_per_epoch=iterations)
-    step = MODEL_PROFILES[model_key].gpu_step_s
-    return {
-        name: report.time_per_iteration / step
-        for name, report in reports.items()
-    }
 
 
 # -- Fig 12: hyperparameter search -----------------------------------------------

@@ -85,14 +85,6 @@ class SimNode:
         return self.gpus[index]
 
     # -- measurements ----------------------------------------------------------------
-    def cpu_utilization(self) -> float:
-        return self.cpu.utilization()
-
-    def gpu_train_utilization(self) -> float:
-        if not self.gpus:
-            return 0.0
-        return sum(g.train_utilization() for g in self.gpus) / len(self.gpus)
-
     def energy_meter(self) -> EnergyMeter:
         gpus = list(self.gpus)
         return standard_meter(

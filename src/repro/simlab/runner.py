@@ -39,10 +39,6 @@ class TrainReport:
         return sum(self.energy_j.values())
 
     @property
-    def avg_power_w(self) -> float:
-        return self.total_energy_j / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
     def time_per_iteration(self) -> float:
         return self.wall_s / self.iterations if self.iterations else 0.0
 

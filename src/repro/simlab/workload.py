@@ -69,9 +69,6 @@ class Workload:
     def frames_used_per_batch(self) -> int:
         return self.model.videos_per_batch * self.frames_used_per_video()
 
-    def decoded_frames_per_batch(self) -> float:
-        return self.model.videos_per_batch * self.decoded_frames_per_video()
-
     # -- per-video work (seconds) ------------------------------------------------
     def cpu_decode_s_per_video(self) -> float:
         return self.cm.cpu_decode_s(
@@ -124,14 +121,6 @@ class Workload:
         return self.dataset.total_frames * self.cm.frame_bytes(self.dataset.megapixels)
 
     # -- SAND-side work -------------------------------------------------------------
-    def sand_feed_cpu_s_per_batch(self) -> float:
-        """Demand-feeding CPU time: decompress cached samples + assemble."""
-        frames = self.frames_used_per_batch()
-        return (
-            self.cm.decompress_s(frames, self.model.output_megapixels)
-            + self.assemble_s_per_batch()
-        )
-
     def sand_sample_decompress_s(self) -> float:
         """Decompress one cached sample (crop-resolution frames)."""
         return self.cm.decompress_s(

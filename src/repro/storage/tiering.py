@@ -146,11 +146,6 @@ class TieredStore:
     def free_bytes(self) -> int:
         return self.local.free_bytes
 
-    @property
-    def total_capacity_bytes(self) -> int:
-        """Both tiers together — the ceiling demotion can spill into."""
-        return self.local.capacity_bytes + self.remote.capacity_bytes
-
     def fraction_used(self) -> float:
         return self.local.fraction_used()
 

@@ -219,17 +219,6 @@ def test_pool_reuses_returned_buffers_by_shape_and_dtype():
     assert pool.leases_outstanding == 0
 
 
-def test_lease_refcount_retain_release():
-    pool = BufferPool(name="test")
-    lease = pool.acquire((4,), np.uint8)
-    lease.retain()
-    lease.release()
-    assert pool.leases_outstanding == 1  # still held once
-    lease.release()
-    assert pool.leases_outstanding == 0
-    assert pool.report()["buffers_returned"] == 1
-
-
 def test_detach_hands_ownership_out_of_the_pool():
     pool = BufferPool(name="test")
     lease = pool.acquire((4,), np.uint8)
@@ -263,9 +252,9 @@ def test_lease_context_manager_releases():
 # -- the on_release hook -----------------------------------------------------
 
 
-def test_on_release_fires_once_under_retain_release_from_two_threads():
-    """Two holders release from two threads: the hook fires once, on
-    whichever release is last, and never again."""
+def test_on_release_fires_once_when_two_threads_release():
+    """Two threads release one lease at once: the buffer goes back once
+    and the hook fires once, and never again."""
     pool = BufferPool(name="test")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # make the two releases actually interleave
@@ -274,7 +263,6 @@ def test_on_release_fires_once_under_retain_release_from_two_threads():
             fired = []
             lease = pool.acquire((4,), np.uint8)
             lease.on_release = lambda: fired.append(pool.leases_outstanding)
-            lease.retain()
             start = threading.Barrier(2)
 
             def holder():
@@ -290,8 +278,9 @@ def test_on_release_fires_once_under_retain_release_from_two_threads():
             # Fired after the buffer went back (outside the pool lock:
             # the hook itself read the pool's counter without deadlocking).
             assert fired == [0]
-            lease.release()  # idempotent past zero: no second firing
+            lease.release()  # idempotent: no second firing
             assert fired == [0]
+        assert pool.report()["buffers_returned"] == 200
     finally:
         sys.setswitchinterval(interval)
 
@@ -300,7 +289,6 @@ def test_on_release_fires_once_on_detach_and_never_on_later_release():
     pool = BufferPool(name="test")
     fired = []
     lease = pool.acquire((4,), np.uint8)
-    lease.retain()
     lease.on_release = lambda: fired.append("left")
     lease.detach()
     assert fired == ["left"]
@@ -309,18 +297,6 @@ def test_on_release_fires_once_on_detach_and_never_on_later_release():
     lease.release()
     assert fired == ["left"]
     assert pool.leases_outstanding == 0
-
-
-def test_on_release_waits_for_the_last_holder():
-    pool = BufferPool(name="test")
-    fired = []
-    lease = pool.acquire((4,), np.uint8)
-    lease.on_release = lambda: fired.append("left")
-    lease.retain()
-    lease.release()
-    assert fired == []
-    lease.release()
-    assert fired == ["left"]
 
 
 # -- engine integration ------------------------------------------------------

@@ -244,6 +244,31 @@ def test_concurrent_trainers_share_one_service(dataset):
     assert errors == []
 
 
+def test_posix_batch_reads_recycle_the_delivery_pool(dataset):
+    """A POSIX batch read leases the pooled buffer, books the blob
+    encode on the lease and gives the buffer back: nothing leaves the
+    pool, and the ledger charges one copy per read, none for a shape
+    xattr."""
+    client, service = SandClient.create(
+        [make_config()], dataset, storage_budget_bytes=10**8, k_epochs=2,
+        num_workers=0, prefetch_depth=0,
+    )
+    try:
+        keys = sorted(service.window_plan(0, "t").batches)
+        batches = [client.read_batch(*key)[0] for key in keys]
+        shape = json.loads(client.getxattr("/t/0/0/view", "shape"))
+        assert tuple(shape) == batches[0].shape
+        pool = service.delivery_pool.report()
+        assert pool["buffers_detached"] == 0
+        assert pool["leases_outstanding"] == 0
+        assert pool["buffers_reused"] >= len(keys) - 1
+        traffic = service.engine.stats.traffic
+        assert traffic.delivery_passes == len(keys)
+        assert traffic.delivery_bytes_copied == sum(b.nbytes for b in batches)
+    finally:
+        service.shutdown()
+
+
 def test_vfs_view_paths_round_trip_through_posix(dataset):
     """Fig 6 flow via raw fds, including xattr metadata consistency."""
     config = make_config()

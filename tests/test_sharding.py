@@ -686,6 +686,69 @@ def test_coordinator_serves_the_wire_protocol_with_tenants(tmp_path):
         reference.shutdown()
 
 
+def _sends(coordinator):
+    """Socket sends booked per shard, over every engine of the shard."""
+    return {
+        sid: sum(
+            engine["sends"]
+            for engine in coordinator.shard(sid).dataplane_report()["engines"].values()
+        )
+        for sid in coordinator.shard_ids()
+    }
+
+
+def test_a_send_is_booked_on_the_shard_that_served_its_lease():
+    """Two leases of one task from two shards are out; the first one's
+    send lands on the shard that assembled it, not on whichever shard
+    served the task last."""
+    coordinator = ShardCoordinator([make_shard() for _ in range(2)])
+    try:
+        owned = {}
+        for key in all_batch_keys(coordinator.shard("shard-0")):
+            owned.setdefault(coordinator.route(*key)[0], key)
+        assert set(owned) == {"shard-0", "shard-1"}
+        first, _ = coordinator.get_batch_lease(*owned["shard-0"])
+        second, _ = coordinator.get_batch_lease(*owned["shard-1"])
+        first.book_send()  # what the server does before it writes
+        assert _sends(coordinator) == {"shard-0": 1, "shard-1": 0}
+        first.release()
+        second.release()
+    finally:
+        coordinator.shutdown()
+
+
+def test_wire_sends_are_booked_on_the_shards_that_served_them(tmp_path):
+    coordinator = ShardCoordinator([make_shard() for _ in range(2)])
+    unix_path = str(tmp_path / "books.sock")
+    server = coordinator.serve_async(unix_path=unix_path)
+    try:
+        server.start_background()
+        keys = all_batch_keys(coordinator.shard("shard-0"))
+        errors = []
+
+        def trainer(rank):
+            try:
+                with BatchSocketClient(unix_path) as client:
+                    for key in keys[rank::2]:
+                        client.get_batch(*key)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(f"{rank}: {type(exc).__name__}: {exc}")
+
+        threads = [threading.Thread(target=trainer, args=(r,)) for r in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        served = coordinator.routing_report()["served"]
+        assert sum(served.values()) == len(keys)
+        assert min(served.values()) > 0
+        assert _sends(coordinator) == served
+    finally:
+        server.shutdown()
+        coordinator.shutdown()
+
+
 def test_coordinator_status_is_one_report():
     coordinator = ShardCoordinator([make_shard() for _ in range(2)])
     try:

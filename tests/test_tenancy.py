@@ -227,14 +227,12 @@ def test_admission_slot_is_released_exactly_when_the_buffer_is():
     try:
         lease, _ = coordinator.get_batch_lease("t", 0, 0, tenant="acme")
         assert lease.on_release is not None
-        lease.retain()  # a second holder, e.g. the socket send in flight
-        lease.release()
         assert _inflight(coordinator, "acme") == 1  # buffer still out
         assert pool.leases_outstanding == 1
         lease.release()
         assert _inflight(coordinator, "acme") == 0
         assert pool.leases_outstanding == 0
-        lease.release()  # past zero: neither pool nor quota double-frees
+        lease.release()  # again: neither pool nor quota double-frees
         assert _inflight(coordinator, "acme") == 0
 
         # The owned-array path frees the slot at the detach.
