@@ -18,8 +18,10 @@ This package implements a real codec with exactly those semantics:
   (``frames_to_decode``) and its statistics (frames decoded vs frames
   requested, bytes read),
 * :mod:`repro.codec.incremental` — the one decode walk, with stateful
-  reuse: a byte-budgeted LRU of decoded anchors and a decoder that
-  resumes from the nearest cached anchor instead of the GOP keyframe,
+  reuse: a byte-budgeted cache of decoded anchors that evicts by
+  checkpoint level (it keeps an evenly spaced grid of every video) and a
+  decoder that resumes from the nearest cached anchor instead of the GOP
+  keyframe,
 * :mod:`repro.codec.model` — GOP/frame-type model and video metadata,
 * :mod:`repro.codec.signals` — metadata-only frame signals (frame type,
   anchor geometry, stored inter-frame delta magnitude) and the pure

@@ -7,9 +7,12 @@ frame sharing, cache misses after ``release_raw_frames``) pay the S3/Fig 3
 amplification again and again.
 
 This module keeps the decoded *anchor* frames (I and P — the only frames
-anything depends on) in a byte-budgeted LRU keyed by
+anything depends on) in a byte-budgeted cache keyed by
 ``(video_id, frame_index)``.  A second decode on the same video resumes
-from the nearest cached anchor instead of the GOP keyframe.  Over a
+from the nearest cached anchor instead of the GOP keyframe.  The cache
+evicts the frames of the finest checkpoint level first (the trailing
+zero bits of the frame index), so past its budget it keeps an evenly
+spaced grid of every video rather than the videos decoded last.  Over a
 zero-budget cache the same decoder is the stateless one.
 
 A decode call is **plan → inflate → reconstruct**.  Inflating the plan's
@@ -32,7 +35,6 @@ import os
 import zlib
 from collections import OrderedDict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -61,6 +63,7 @@ from repro.codec.model import FrameType, GopStructure, VideoMetadata
 from repro.codec.signals import FrameSignals
 
 DEFAULT_ANCHOR_CACHE_BYTES = 64 * 1024 * 1024
+_TOP_LEVEL = 64  # frame 0: no frame index reaches 2**64
 
 # Work-sharing rule of the inflate step.  Waking a thread on another core
 # takes long enough that a plan cut in halves leaves the caller waiting
@@ -142,16 +145,11 @@ def _inflate(payload: memoryview, size: int, video_id: str, index: int) -> bytes
     return raw
 
 
-@dataclass
-class AnchorCacheVideoStats:
-    """Per-video accounting for one video's anchors in the cache."""
-
-    hits: int = 0
-    misses: int = 0
-    reuses: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "reuses": self.reuses}
+def _checkpoint_level(index: int) -> int:
+    """A frame's checkpoint level: the trailing zero bits of its absolute
+    index, frame 0 above every other.  The frames at level ``>= n`` are
+    the multiples of ``2**n``, so each level's grid halves the one below."""
+    return (index & -index).bit_length() - 1 if index else _TOP_LEVEL
 
 
 def frames_to_decode_with_cache(
@@ -207,30 +205,30 @@ class AnchorCache:
     decoding).  Thread safe — engine workers on different videos share
     one cache, and a service shares one across its plan windows.
 
-    Eviction is LRU: :meth:`get` and :meth:`snapshot` freshen what they
-    return, and an insert past the budget evicts the least recently used
-    entries.  Eviction never changes decoded bytes, only how often a
-    decode resumes from a cached anchor.
+    Eviction is by checkpoint level (``_checkpoint_level``), one LRU
+    per level: an insert past the budget evicts the least recently used
+    entry of the lowest level held, and :meth:`get` and :meth:`snapshot`
+    freshen what they return within its level.  What survives is a
+    nested power-of-two grid of every video, as fine as the budget
+    affords, and a cached frame cuts short the decode chain of every
+    later request at or after it.  Eviction never changes decoded bytes,
+    only how often a decode resumes from a cached anchor.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_ANCHOR_CACHE_BYTES):
         if budget_bytes < 0:
             raise ValueError(f"budget must be >= 0, got {budget_bytes}")
         self.budget_bytes = budget_bytes
-        self._entries: "OrderedDict[Tuple[str, int], np.ndarray]" = OrderedDict()
-        self._by_video: Dict[str, Set[int]] = {}
+        # level -> that level's entries, least recently used first; a
+        # level that empties is dropped, so min() is the lowest level held.
+        self._levels: Dict[int, "OrderedDict[Tuple[str, int], np.ndarray]"] = {}
+        # video -> frame index -> the level holding it
+        self._by_video: Dict[str, Dict[int, "OrderedDict[Tuple[str, int], np.ndarray]"]] = {}
         self._bytes = 0
         self._lock = make_rlock("anchor-cache")
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._video_stats: Dict[str, AnchorCacheVideoStats] = {}
-
-    def _stats_for(self, video_id: str) -> AnchorCacheVideoStats:
-        stats = self._video_stats.get(video_id)
-        if stats is None:
-            stats = self._video_stats[video_id] = AnchorCacheVideoStats()
-        return stats
 
     # -- accounting -----------------------------------------------------------
     @property
@@ -238,24 +236,23 @@ class AnchorCache:
         return self._bytes
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:  # an insert or eviction may add or drop a level
+            return sum(map(len, self._levels.values()))
 
     def __contains__(self, key: Tuple[str, int]) -> bool:
         with self._lock:
-            return key in self._entries
+            return key[1] in self._by_video.get(key[0], ())
 
     # -- access ---------------------------------------------------------------
     def get(self, video_id: str, index: int) -> Optional[np.ndarray]:
         with self._lock:
-            frame = self._entries.get((video_id, index))
-            if frame is None:
+            entries = self._by_video.get(video_id, {}).get(index)
+            if entries is None:
                 self.misses += 1
-                self._stats_for(video_id).misses += 1
                 return None
-            self._entries.move_to_end((video_id, index))
+            entries.move_to_end((video_id, index))
             self.hits += 1
-            self._stats_for(video_id).hits += 1
-            return frame
+            return entries[(video_id, index)]
 
     def snapshot(self, video_id: str) -> Dict[int, np.ndarray]:
         """All cached anchors of one video, atomically, freshened as used.
@@ -266,9 +263,9 @@ class AnchorCache:
         """
         with self._lock:
             out: Dict[int, np.ndarray] = {}
-            for index in self._by_video.get(video_id, ()):
-                out[index] = self._entries[(video_id, index)]
-                self._entries.move_to_end((video_id, index))
+            for index, entries in self._by_video.get(video_id, {}).items():
+                out[index] = entries[(video_id, index)]
+                entries.move_to_end((video_id, index))
             return out
 
     def note_reuse(self, video_id: str, count: int, misses: int = 0) -> None:
@@ -283,20 +280,14 @@ class AnchorCache:
         if not count and not misses:
             return
         with self._lock:
-            stats = self._stats_for(video_id)
-            if count:
-                self.hits += count
-                stats.hits += count
-                stats.reuses += count
-            if misses:
-                self.misses += misses
-                stats.misses += misses
+            self.hits += count
+            self.misses += misses
 
     def put(self, video_id: str, index: int, frame: np.ndarray) -> bool:
         """Insert one decoded anchor; returns False when it cannot fit."""
         with self._lock:
             self.put_many(video_id, [(index, frame)])
-            return (video_id, index) in self._entries
+            return (video_id, index) in self
 
     def put_many(
         self, video_id: str, frames: Iterable[Tuple[int, np.ndarray]]
@@ -309,15 +300,18 @@ class AnchorCache:
         decoder's own handle is this same array — and every view
         :meth:`get`/:meth:`snapshot` hand out inherits it.  Each entry is
         inserted and *then* evicted for, one at a time, so hits,
-        evictions and LRU victims are those of the same sequence of
-        :meth:`put` calls.
+        evictions and victims are those of the same sequence of
+        :meth:`put` calls — an entry of the lowest level held may be its
+        own victim.
         """
         with self._lock:
             sanitizer = buffer_sanitizer()
             for index, frame in frames:
                 key = (video_id, index)
-                if key in self._entries:
-                    self._entries.move_to_end(key)
+                level = _checkpoint_level(index)
+                entries = self._levels.get(level)
+                if entries is not None and key in entries:
+                    entries.move_to_end(key)
                     continue
                 if frame.nbytes > self.budget_bytes:
                     continue
@@ -325,42 +319,35 @@ class AnchorCache:
                     frame.setflags(write=False)
                 if sanitizer is not None:
                     sanitizer.guard(frame, f"anchor-cache entry {video_id}[{index}]")
-                self._entries[key] = frame
-                self._by_video.setdefault(video_id, set()).add(index)
+                if entries is None:
+                    entries = self._levels[level] = OrderedDict()
+                entries[key] = frame
+                self._by_video.setdefault(video_id, {})[index] = entries
                 self._bytes += frame.nbytes
                 while self._bytes > self.budget_bytes:
                     self._evict_one()
 
-    def drop_video(self, video_id: str) -> int:
-        """Forget every anchor of one video (e.g. dataset eviction)."""
-        with self._lock:
-            dropped = 0
-            for index in list(self._by_video.get(video_id, ())):
-                frame = self._entries.pop((video_id, index))
-                self._bytes -= frame.nbytes
-                self._by_video[video_id].discard(index)
-                dropped += 1
-            self._by_video.pop(video_id, None)
-            return dropped
-
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._levels.clear()
             self._by_video.clear()
             self._bytes = 0
 
     def _evict_one(self) -> None:
-        (video_id, index), frame = self._entries.popitem(last=False)
+        level = min(self._levels)
+        entries = self._levels[level]
+        (video_id, index), frame = entries.popitem(last=False)
+        if not entries:
+            del self._levels[level]
         self._bytes -= frame.nbytes
-        videos = self._by_video.get(video_id)
-        if videos is not None:
-            videos.discard(index)
-            if not videos:
-                del self._by_video[video_id]
+        videos = self._by_video[video_id]
+        del videos[index]
+        if not videos:
+            del self._by_video[video_id]
         self.evictions += 1
 
     def report(self) -> Dict[str, Any]:
-        """Counter snapshot: hits, misses, evictions, occupancy, per video too.
+        """Counter snapshot: hits, misses, evictions, occupancy.
 
         The engine folds it into ``EngineStats.anchor_cache`` whenever its
         stats are read.
@@ -370,13 +357,9 @@ class AnchorCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "entries": len(self._entries),
+                "entries": len(self),
                 "bytes_used": self._bytes,
                 "budget_bytes": self.budget_bytes,
-                "per_video": {
-                    vid: stats.as_dict()
-                    for vid, stats in sorted(self._video_stats.items())
-                },
             }
 
 

@@ -853,16 +853,23 @@ class SandService(FileSystemProvider):
         dataset = self._group(view.task).dataset
         if isinstance(view, BatchView):
             key = (view.task, view.epoch, view.iteration)
-            if name in ("shape", "dtype"):
-                lease, _ = self.get_batch_lease(*key)
-                with lease:
-                    batch = lease.array
-                    if name == "shape":
-                        return json.dumps(list(batch.shape)).encode()
-                    return str(batch.dtype).encode()
-            # Everything else is plan metadata: no batch is assembled for it.
             engine = self.ensure_window(view.epoch, task=view.task)
-            metadata = engine.batch_metadata(engine.plan.batches[key])
+            assembly = engine.plan.batches[key]
+            if name in ("shape", "dtype"):
+                # From the plan, as ``_assemble`` sizes its buffer; only a
+                # leaf whose spec is not static needs the batch itself.
+                video, leaf = assembly.samples[0]
+                spec = engine._materializer(video).leaf_spec(leaf)
+                if spec is None:
+                    lease, _ = self.get_batch_lease(*key)
+                    with lease:
+                        spec = (lease.array.shape[1:], lease.array.dtype)
+                shape, dtype = spec
+                if name == "shape":
+                    return json.dumps([len(assembly.samples), *shape]).encode()
+                return str(dtype).encode()
+            # Everything else is plan metadata too.
+            metadata = engine.batch_metadata(assembly)
             if name in metadata:
                 return json.dumps(metadata[name]).encode()
             raise NoAttributeError(path, f"no xattr {name!r}")

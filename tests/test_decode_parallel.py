@@ -86,6 +86,11 @@ def run_calls(monkeypatch, share_from, data, calls, budget, warm, threshold=0.0)
     return outputs, decoder, cache
 
 
+def eviction_order(cache):
+    """Every key of the cache, the next victim first."""
+    return [key for level in sorted(cache._levels) for key in cache._levels[level]]
+
+
 @pytest.mark.parametrize("cache_state", CACHE_STATES)
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_shared_inline_and_oracle_agree(monkeypatch, layout, cache_state):
@@ -103,7 +108,7 @@ def test_shared_inline_and_oracle_agree(monkeypatch, layout, cache_state):
     # Same books: the helper pool is invisible to every counter.
     assert dataclasses.asdict(shared_dec.stats) == dataclasses.asdict(inline_dec.stats)
     assert shared_cache.report() == inline_cache.report()
-    assert list(shared_cache._entries) == list(inline_cache._entries)
+    assert eviction_order(shared_cache) == eviction_order(inline_cache)
 
 
 @pytest.mark.parametrize("share_from", [SHARED, INLINE])
@@ -154,9 +159,9 @@ class LoggingCache(AnchorCache):
         self.victims = []
 
     def _evict_one(self):
-        before = list(self._entries)
+        before = eviction_order(self)
         super()._evict_one()
-        self.victims.extend(key for key in before if key not in self._entries)
+        self.victims.extend(key for key in before if key not in self)
 
 
 def anchor_frames():
@@ -187,7 +192,7 @@ def test_put_many_is_the_same_sequence_of_puts(sanitized):
         books.append(
             (
                 cache.report(),
-                list(cache._entries),
+                eviction_order(cache),
                 cache.victims,
                 cache.bytes_used,
                 buffer_sanitizer().guarded - before,

@@ -21,6 +21,7 @@ The hard invariants:
   delivery leases.
 """
 
+import json
 import sys
 import threading
 import zlib
@@ -632,6 +633,44 @@ def test_vfs_access_is_shard_transparent():
     finally:
         reference.shutdown()
         coordinator.shutdown()
+
+
+def test_batch_shape_xattrs_come_from_the_plan():
+    service = make_shard()
+    try:
+        path = "/t/0/0/view"
+        shape = json.loads(service.getxattr(path, "shape"))
+        dtype = service.getxattr(path, "dtype")
+        stats = service.engine.stats
+        assert stats.batches_served == 0
+        assert stats.dataplane["leases_issued"] == 0
+        assert stats.demand_materializations == 0
+        lease, _ = service.get_batch_lease("t", 0, 0)
+        with lease:
+            assert shape == list(lease.array.shape)
+            assert dtype == str(lease.array.dtype).encode()
+    finally:
+        service.shutdown()
+
+
+def test_batch_shape_xattrs_of_a_clip_scoped_task_match_the_batch():
+    # A clip-scoped op reshapes the clip: the spec is not static, so the
+    # answer comes from an assembled batch.
+    config = load_task_config({"dataset": {
+        "tag": "t", "video_dataset_path": "/d",
+        "sampling": {"videos_per_batch": 2, "frames_per_video": 4},
+        "augmentation": [{
+            "branch_type": "single", "inputs": ["frame"], "outputs": ["a0"],
+            "config": [{"resize": {"shape": [12, 16]}}, {"subsample": {"rate": 2}}],
+        }],
+    }})
+    service = SandService([config], make_dataset(), num_workers=0, prefetch_depth=0)
+    try:
+        shape = json.loads(service.getxattr("/t/0/0/view", "shape"))
+        assert shape == [2, 2, 12, 16, 3]
+        assert service.getxattr("/t/0/0/view", "dtype") == b"uint8"
+    finally:
+        service.shutdown()
 
 
 # -- the wire path -----------------------------------------------------------

@@ -244,7 +244,7 @@ def test_threshold_changes_are_inert_on_high_motion_content(dataset):
     assert engine.stats.traffic.reused_slots == 0
 
 
-def test_per_video_counters_roll_into_traffic_report(lowmo_dataset):
+def test_anchor_counters_roll_into_traffic_report(lowmo_dataset):
     plan = build_plan_window(
         [make_config(deterministic=True)], lowmo_dataset, 0, 1, seed=2
     )
@@ -253,15 +253,11 @@ def test_per_video_counters_roll_into_traffic_report(lowmo_dataset):
         reuse_threshold=LOW_MOTION_THRESHOLD,
     )
     run_all_batches(engine, plan)
-    report = engine.stats.traffic_report()["anchor_cache"]
-    per_video = report["per_video"]
-    assert per_video  # at least one video decoded
-    for vid, stats in per_video.items():
-        assert vid in lowmo_dataset.video_ids
-        assert set(stats) == {"hits", "misses", "reuses"}
-        assert stats["misses"] > 0  # first decode always misses
-    assert report["hits"] == sum(s["hits"] for s in per_video.values())
-    assert report["misses"] == sum(s["misses"] for s in per_video.values())
+    stats = engine.stats
+    report = stats.traffic_report()["anchor_cache"]
+    assert report["misses"] > 0  # first decode always misses
+    assert report["hits"] == stats.frames_reused_from_anchor_cache
+    assert report["entries"] > 0
 
 
 # -- decoder-level correctness ----------------------------------------------------
