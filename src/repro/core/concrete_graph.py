@@ -210,8 +210,9 @@ class BatchAssembly:
     epoch: int
     iteration: int
     samples: List[Tuple[str, str]] = field(default_factory=list)  # (video_id, leaf key)
-    # The batch's metadata mapping, memoized by whichever engine first
-    # describes it (a pure function of the plan; shared, read-only).
+    # The batch's metadata mapping, memoized by whoever first describes
+    # it, an engine or the front end (a pure function of the plan;
+    # shared, read-only; see ``engine.batch_metadata``).
     described: Optional[Dict] = field(default=None, repr=False, compare=False)
 
 

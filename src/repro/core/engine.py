@@ -22,7 +22,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 import numpy as np
 
@@ -55,6 +55,35 @@ from repro.storage.retry import RetryPolicy, call_with_retries
 _RETRYABLE = (TransientStorageError, TransientDecodeError)
 
 T = TypeVar("T")
+
+
+def batch_metadata(
+    plan: MaterializationPlan, dataset: Any, assembly: BatchAssembly
+) -> Dict:
+    """The batch's metadata mapping, a pure function of the plan (and the
+    dataset's labels): built on first use, then the same read-only object
+    for every request and every trainer."""
+    if assembly.described is not None:
+        return assembly.described
+    videos, timestamps, labels, frame_lists = [], [], [], []
+    label = getattr(dataset, "label", None)
+    for video_id, leaf_key in assembly.samples:
+        graph = plan.graphs[video_id]
+        indices = list(graph.nodes[leaf_key].frame_indices or ())
+        videos.append(video_id)
+        frame_lists.append(indices)
+        timestamps.append([round(i / graph.metadata.fps, 6) for i in indices])
+        labels.append(label(video_id) if callable(label) else None)
+    assembly.described = BatchDescription(
+        task=assembly.task,
+        epoch=assembly.epoch,
+        iteration=assembly.iteration,
+        videos=videos,
+        frame_indices=frame_lists,
+        timestamps=timestamps,
+        labels=labels,
+    )
+    return assembly.described
 
 
 @dataclass(frozen=True)
@@ -442,7 +471,7 @@ class PreprocessingEngine:
             else:
                 self._work_gate.enter(WorkClass.DEMAND)
                 try:
-                    metadata = self.batch_metadata(assembly)
+                    metadata = batch_metadata(self.plan, self.dataset, assembly)
                     lease = self._assemble(assembly)
                 finally:
                     self._work_gate.exit(WorkClass.DEMAND)
@@ -516,7 +545,7 @@ class PreprocessingEngine:
         assembly = self.plan.batches[(task, epoch, iteration)]
         self._work_gate.enter(WorkClass.PREFETCH)
         try:
-            metadata = self.batch_metadata(assembly)
+            metadata = batch_metadata(self.plan, self.dataset, assembly)
             lease = self._assemble(assembly)
         finally:
             self._work_gate.exit(WorkClass.PREFETCH)
@@ -615,33 +644,6 @@ class PreprocessingEngine:
         return call_with_retries(
             fn, self.retry_policy, _RETRYABLE, self._jitter_rng(), note
         )
-
-    def batch_metadata(self, assembly: BatchAssembly) -> Dict:
-        """The batch's metadata mapping: built on first use, then the
-        same read-only object for every request and every trainer."""
-        if assembly.described is not None:
-            return assembly.described
-        videos, timestamps, labels, frame_lists = [], [], [], []
-        for video_id, leaf_key in assembly.samples:
-            graph = self.plan.graphs[video_id]
-            leaf = graph.nodes[leaf_key]
-            videos.append(video_id)
-            indices = list(leaf.frame_indices or ())
-            frame_lists.append(indices)
-            md = graph.metadata
-            timestamps.append([round(i / md.fps, 6) for i in indices])
-            label = getattr(self.dataset, "label", None)
-            labels.append(label(video_id) if callable(label) else None)
-        assembly.described = BatchDescription(
-            task=assembly.task,
-            epoch=assembly.epoch,
-            iteration=assembly.iteration,
-            videos=videos,
-            frame_indices=frame_lists,
-            timestamps=timestamps,
-            labels=labels,
-        )
-        return assembly.described
 
     # -- pre-materialization ---------------------------------------------------
     def _worker_loop(self) -> None:

@@ -82,6 +82,39 @@ def _op_from_args(
     return _op_from_args_cached(registry, name, config_json, params_json)
 
 
+def _aug_chain(
+    graph: VideoGraph, key: str
+) -> Tuple[Tuple[Tuple[str, str, str], ...], Optional[ObjectNode]]:
+    """The whole aug chain ending at ``key`` — op identities in
+    application order — and the node below it.  Ignores memoization
+    state, so it is a pure function of the graph."""
+    ops: List[Tuple[str, str, str]] = []
+    node = graph.nodes.get(key)
+    while node is not None and node.kind == "aug" and node.op_args is not None:
+        ops.append(node.op_args)
+        node = graph.nodes.get(node.parents[0])
+    return tuple(reversed(ops)), node
+
+
+def leaf_spec(
+    graph: VideoGraph, registry: OpRegistry, key: str
+) -> Optional[Tuple[Tuple[int, ...], np.dtype]]:
+    """Shape and dtype of a sample leaf from the plan alone.
+
+    ``None`` when they are not static: clip-scoped ops reshape the
+    collated clip, and an opaque op's output dtype is only known by
+    running it.  Decoded frames are ``(1, H, W, 3)`` uint8.
+    """
+    node = graph.nodes[key]
+    if node.kind != "sample" or node.clip_ops or node.clip_shape is None:
+        return None
+    chain, _ = _aug_chain(graph, node.parents[0])
+    metadata = graph.metadata
+    plan = plan_for(registry, chain, (1, metadata.height, metadata.width, 3))
+    dtype = plan.out_dtype(np.dtype(np.uint8))
+    return None if dtype is None else (node.clip_shape, dtype)
+
+
 class VideoMaterializer:
     """Computes any node of one video's graph, with memoization and cache.
 
@@ -183,26 +216,12 @@ class VideoMaterializer:
             return False
 
     def leaf_spec(self, key: str) -> Optional[Tuple[Tuple[int, ...], np.dtype]]:
-        """Shape and dtype of a sample leaf from the plan alone.
-
-        ``None`` when they are not static: clip-scoped ops reshape the
-        collated clip, and an opaque op's output dtype is only known by
-        running it.  Decoded frames are ``(1, H, W, 3)`` uint8.
-        """
+        """:func:`leaf_spec` of this video's graph, memoized."""
         try:
-            return self._leaf_specs[key]  # a pure function of the graph
+            return self._leaf_specs[key]
         except KeyError:
-            pass
-        node = self.graph.nodes[key]
-        spec = None
-        if node.kind == "sample" and not node.clip_ops and node.clip_shape is not None:
-            chain, _ = self._aug_chain(node.parents[0])
-            metadata = self.graph.metadata
-            plan = plan_for(self.registry, chain, (1, metadata.height, metadata.width, 3))
-            dtype = plan.out_dtype(np.dtype(np.uint8))
-            spec = None if dtype is None else (node.clip_shape, dtype)
-        self._leaf_specs[key] = spec
-        return spec
+            spec = self._leaf_specs[key] = leaf_spec(self.graph, self.registry, key)
+            return spec
 
     def prematerialize(self, key: str) -> bool:
         """``get`` ahead of use, for the pre-materialization worker.
@@ -534,7 +553,7 @@ class VideoMaterializer:
         signals = self._frame_signals()
         if signals is None or not signals.has_deltas:
             return None
-        ops, node = self._aug_chain(key)
+        ops, node = _aug_chain(self.graph, key)
         if node is None or node.kind == "aug":  # pragma: no cover - malformed graph
             return None
         if node.kind == "frame" and node.frame_index is not None:
@@ -545,19 +564,6 @@ class VideoMaterializer:
         else:
             base = ("key", node.key)
         return (base, ops)
-
-    def _aug_chain(
-        self, key: str
-    ) -> Tuple[Tuple[Tuple[str, str, str], ...], Optional[ObjectNode]]:
-        """The whole aug chain ending at ``key`` — op identities in
-        application order — and the node below it.  Ignores memoization
-        state, so it is a pure function of the graph."""
-        ops: List[Tuple[str, str, str]] = []
-        node = self.graph.nodes.get(key)
-        while node is not None and node.kind == "aug" and node.op_args is not None:
-            ops.append(node.op_args)
-            node = self.graph.nodes.get(node.parents[0])
-        return tuple(reversed(ops)), node
 
     def _materialize_parent_into(self, key: str, slot: np.ndarray) -> None:
         """Write one collation parent into its slot of the clip buffer.

@@ -10,12 +10,13 @@ a PyTorch-style ``__getitem__`` is genuinely under ten lines (Table 3).
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import TaskConfig
 from repro.core.service import SandService
+from repro.core.sharding import ShardCoordinator
 from repro.core.views import BatchView
 from repro.storage.blobs import decode_array
 from repro.vfs.filesystem import VirtualFileSystem
@@ -24,11 +25,14 @@ DEFAULT_MOUNT = "/sand"
 
 
 def mount_sand(
-    service: SandService,
+    service: Union[SandService, ShardCoordinator],
     vfs: Optional[VirtualFileSystem] = None,
     mount_point: str = DEFAULT_MOUNT,
 ) -> VirtualFileSystem:
-    """Mount a SAND service into a VFS (the FUSE-mount equivalent)."""
+    """Mount a SAND front end into a VFS (the FUSE-mount equivalent); a
+    plain service is mounted as the front end over one shard."""
+    if isinstance(service, SandService):
+        service = ShardCoordinator([service])
     vfs = vfs or VirtualFileSystem()
     vfs.mount(mount_point, service)
     return vfs
@@ -49,7 +53,7 @@ class SandClient:
         mount_point: str = DEFAULT_MOUNT,
         **service_kwargs,
     ) -> Tuple["SandClient", SandService]:
-        """One-call setup: service + VFS mount + client."""
+        """One-call setup: service + its front end's VFS mount + client."""
         service = SandService(tasks, dataset, **service_kwargs)
         vfs = mount_sand(service, mount_point=mount_point)
         return cls(vfs, mount_point), service

@@ -1,4 +1,4 @@
-"""The SAND service: planning, engine, cache, and the view filesystem.
+"""The SAND service: planning, engine and cache — one shard.
 
 This is the composition root of the system.  Given task configs and one
 or more datasets, the service:
@@ -10,19 +10,16 @@ or more datasets, the service:
 3. prunes it to the storage budget (S5.3, Algorithm 1),
 4. runs a preprocessing engine over it (S5.4), rolling each group to its
    next window before the current one expires, and
-5. mounts itself as a filesystem provider so applications reach every
-   view through POSIX calls (S5.1, Fig 8, Tables 1-2).
+5. answers its front end through a typed API: batches
+   (``get_batch_lease``), decoded and augmented frames
+   (``frame_array``/``aug_frame_array``), task lifecycle
+   (``start_task``/``end_task``), and the window plans and datasets the
+   front end answers metadata from (``window_plan``/``dataset_for``).
 
-Views served:
-
-* ``/{task}/{epoch}/{iteration}/view`` — training batch (array blob;
-  xattrs: shape, dtype, timestamps, labels, videos),
-* ``/{task}/{video}.mp4`` — the encoded source video,
-* ``/{task}/{video}/frame{i}`` — a decoded frame,
-* ``/{task}/{video}/frame{i}/aug{d}`` — an augmented frame at depth d,
-* ``/{task}/ctrl`` — the task-lifecycle control file: opening it marks
-  the task started, closing it marks the task finished (the paper's
-  remaining "4 lines ... communicate the start and end of tasks").
+The view namespace applications reach through POSIX calls (S5.1, Fig 8,
+Tables 1-2) is not here: :class:`~repro.core.sharding.ShardCoordinator`
+is the one front end, and a plain service is the front end over one
+shard (``SandClient.create`` mounts ``ShardCoordinator([service])``).
 
 ``dataset`` may be a single dataset object (used by every task) or a
 mapping from ``video_dataset_path`` to dataset, one entry per distinct
@@ -31,13 +28,13 @@ root the task configs name.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 import weakref
 from functools import partial
 from pathlib import Path
 from typing import (
+    Any,
     Callable,
     Dict,
     Hashable,
@@ -71,26 +68,8 @@ from repro.core.recovery import (
     recover,
     write_checkpoint,
 )
-from repro.core.views import (
-    AugFrameView,
-    BatchView,
-    FrameView,
-    VideoView,
-    parse_view_path,
-    try_parse_view_path,
-)
-from repro.storage.blobs import encode_array
 from repro.storage.local import LocalStore
 from repro.storage.tiering import TieredStore
-from repro.vfs.errors import (
-    FileNotFoundVfsError,
-    IsADirectoryVfsError,
-    NoAttributeError,
-    NotADirectoryVfsError,
-)
-from repro.vfs.provider import FileHandle, FileSystemProvider, NodeInfo
-
-CTRL_NAME = "ctrl"
 
 PlannedWindow = Tuple[MaterializationPlan, PruningOutcome]
 
@@ -256,8 +235,10 @@ class _Group:
             self.planner.join()
 
 
-class SandService(FileSystemProvider):
-    """The user-facing SAND instance."""
+class SandService:
+    """One SAND shard: windows, plan-ahead, engines, ownership scope and
+    checkpoints, behind a typed API.  Its POSIX front end is a
+    :class:`~repro.core.sharding.ShardCoordinator` over it."""
 
     def __init__(
         self,
@@ -371,6 +352,10 @@ class SandService(FileSystemProvider):
     def dataset(self):
         """The dataset (single-group services; ambiguous otherwise)."""
         return self._single_group().dataset
+
+    def dataset_for(self, task: str) -> Any:
+        """The dataset ``task`` reads."""
+        return self._group(task).dataset
 
     # Backward-compatible single-group accessors (most deployments have
     # every task on one dataset, like the paper's scenarios).
@@ -666,7 +651,7 @@ class SandService(FileSystemProvider):
         self.ensure_window(manifest["window_start"])
         return report
 
-    # -- typed access (used by the provider and directly by trainers) ---------------
+    # -- typed access (used by the front end and directly by trainers) -------------
     def batch(self, task: str, epoch: int, iteration: int) -> Tuple[np.ndarray, Dict]:
         engine = self.ensure_window(epoch, task=task)
         return engine.get_batch(task, epoch, iteration)
@@ -776,169 +761,3 @@ class SandService(FileSystemProvider):
     @property
     def active_tasks(self) -> Set[str]:
         return set(self._active_tasks)
-
-    # -- FileSystemProvider ------------------------------------------------------
-    def _parts(self, path: str) -> List[str]:
-        return [p for p in path.split("/") if p]
-
-    def lookup(self, path: str) -> NodeInfo:
-        parts = self._parts(path)
-        if not parts:
-            return NodeInfo(path, is_dir=True)
-        if parts[0] not in self.tasks:
-            raise FileNotFoundVfsError(path)
-        if len(parts) == 1:
-            return NodeInfo(path, is_dir=True)
-        if parts[-1] == CTRL_NAME and len(parts) == 2:
-            return NodeInfo(path, is_dir=False, size=0)
-        view = try_parse_view_path("/" + "/".join(parts))
-        if view is not None:
-            return NodeInfo(path, is_dir=False, size=0)
-        # Intermediate directory levels of the Table-1 namespace.
-        return NodeInfo(path, is_dir=True)
-
-    def open(self, path: str) -> FileHandle:
-        parts = self._parts(path)
-        if len(parts) == 2 and parts[1] == CTRL_NAME:
-            if parts[0] not in self.tasks:
-                raise FileNotFoundVfsError(path)
-            self.start_task(parts[0])
-            return _CtrlHandle(self, parts[0], path)
-        try:
-            view = parse_view_path(path)
-        except ValueError as exc:
-            raise FileNotFoundVfsError(path, str(exc)) from exc
-        if view.task not in self.tasks:
-            raise FileNotFoundVfsError(path, f"unknown task {view.task!r}")
-        dataset = self._group(view.task).dataset
-        try:
-            if isinstance(view, BatchView):
-                lease, metadata = self.get_batch_lease(
-                    view.task, view.epoch, view.iteration
-                )
-                with lease:
-                    # The blob encode duplicates the batch for the POSIX
-                    # read path: a trainer-boundary copy, booked on the
-                    # lease; the buffer then goes back to the pool.
-                    lease.book_copy()
-                    handle = FileHandle(encode_array(lease.array), path)
-                handle.metadata = metadata  # type: ignore[attr-defined]
-                return handle
-            if isinstance(view, VideoView):
-                if view.video not in dataset.video_ids:
-                    raise FileNotFoundVfsError(path)
-                return FileHandle(dataset.get_bytes(view.video), path)
-            if isinstance(view, FrameView):
-                return FileHandle(
-                    encode_array(self.frame_array(view.task, view.video, view.index)),
-                    path,
-                )
-            if isinstance(view, AugFrameView):
-                return FileHandle(
-                    encode_array(
-                        self.aug_frame_array(
-                            view.task, view.video, view.index, view.depth
-                        )
-                    ),
-                    path,
-                )
-        except KeyError as exc:
-            raise FileNotFoundVfsError(path, str(exc)) from exc
-        raise IsADirectoryVfsError(path)
-
-    def getxattr(self, path: str, name: str) -> bytes:
-        view = try_parse_view_path(path)
-        if view is None or view.task not in self.tasks:
-            raise FileNotFoundVfsError(path)
-        dataset = self._group(view.task).dataset
-        if isinstance(view, BatchView):
-            key = (view.task, view.epoch, view.iteration)
-            engine = self.ensure_window(view.epoch, task=view.task)
-            assembly = engine.plan.batches[key]
-            if name in ("shape", "dtype"):
-                # From the plan, as ``_assemble`` sizes its buffer; only a
-                # leaf whose spec is not static needs the batch itself.
-                video, leaf = assembly.samples[0]
-                spec = engine._materializer(video).leaf_spec(leaf)
-                if spec is None:
-                    lease, _ = self.get_batch_lease(*key)
-                    with lease:
-                        spec = (lease.array.shape[1:], lease.array.dtype)
-                shape, dtype = spec
-                if name == "shape":
-                    return json.dumps([len(assembly.samples), *shape]).encode()
-                return str(dtype).encode()
-            # Everything else is plan metadata too.
-            metadata = engine.batch_metadata(assembly)
-            if name in metadata:
-                return json.dumps(metadata[name]).encode()
-            raise NoAttributeError(path, f"no xattr {name!r}")
-        if isinstance(view, (FrameView, AugFrameView)):
-            md = dataset.metadata(view.video)
-            if name == "timestamp":
-                return json.dumps(round(view.index / md.fps, 6)).encode()
-            if name == "video":
-                return view.video.encode()
-            raise NoAttributeError(path, f"no xattr {name!r}")
-        if isinstance(view, VideoView):
-            md = dataset.metadata(view.video)
-            if name == "metadata":
-                return json.dumps(
-                    {
-                        "width": md.width,
-                        "height": md.height,
-                        "num_frames": md.num_frames,
-                        "fps": md.fps,
-                        "gop_size": md.gop_size,
-                    }
-                ).encode()
-            raise NoAttributeError(path, f"no xattr {name!r}")
-        raise NoAttributeError(path, f"no xattr {name!r}")
-
-    def listdir(self, path: str) -> List[str]:
-        parts = self._parts(path)
-        if not parts:
-            return sorted(self.tasks)
-        task = parts[0]
-        if task not in self.tasks:
-            raise FileNotFoundVfsError(path)
-        if try_parse_view_path(path) is not None:
-            raise NotADirectoryVfsError(path)
-        group = self._group(task)
-        engine = self.ensure_window(group.window_start or 0, task=task)
-        plan = engine.plan
-        if len(parts) == 1:
-            entries = {CTRL_NAME}
-            entries.update(f"{vid}.mp4" for vid in group.dataset.video_ids)
-            entries.update(str(e) for e in plan.epochs)
-            return sorted(entries)
-        if len(parts) == 2 and parts[1].isdigit():
-            epoch = int(parts[1])
-            iters = [
-                str(b.iteration)
-                for b in plan.batches.values()
-                if b.task == task and b.epoch == epoch
-            ]
-            if not iters:
-                raise FileNotFoundVfsError(path)
-            return sorted(iters, key=int)
-        if len(parts) == 3 and parts[1].isdigit() and parts[2].isdigit():
-            return ["view"]
-        raise FileNotFoundVfsError(path)
-
-    def release(self, handle: FileHandle) -> None:
-        handle.close()
-
-
-class _CtrlHandle(FileHandle):
-    """The task control file: close() signals task completion."""
-
-    def __init__(self, service: SandService, task: str, path: str):
-        super().__init__(b"", path)
-        self._service = service
-        self._task = task
-
-    def close(self) -> None:
-        if not self.closed:
-            self._service.end_task(self._task)
-        super().close()

@@ -1,6 +1,7 @@
-"""Consistent-hash sharded SAND service with tenant-fair admission.
+"""SAND's one front end: N shards behind a consistent-hash ring, with
+tenant-fair admission and the POSIX view namespace.
 
-ROADMAP item 1: N engine shards behind one coordinator.  Each shard is a
+N engine shards behind one coordinator.  Each shard is a
 full :class:`~repro.core.service.SandService` built from the same task
 configs, dataset, and seed, so planning is deterministic and *any* shard
 can serve *any* batch byte-identically — correctness never depends on
@@ -12,7 +13,7 @@ buys three things cheaply:
   ``(video_id, leaf_key)`` sequence, :func:`content_key`), and a stable
   consistent-hash ring (:class:`HashRing`, virtual nodes, minimal
   movement on add/remove) places that key on an owner shard, where the
-  coordinator forwards ``get_batch`` / POSIX calls.
+  coordinator serves the batch.
 * **Cross-shard dedup** follows by construction: identical views
   requested by different tasks or tenants have one signature, hence one
   owner, and hit its already materialized objects.
@@ -33,16 +34,36 @@ for the whole delivery: the coordinator hangs ``ticket.release`` on the
 shard's :class:`~repro.core.dataplane.BatchLease` (``on_release``), so
 the tenant's slot frees exactly when the delivery buffer does.
 
-The coordinator is itself a lease-aware batch source *and* a
-:class:`~repro.vfs.provider.FileSystemProvider`: ``AsyncBatchServer``
-serves it over the wire unchanged (GET_BATCH may carry a ``tenant``),
-and ``mount_sand``-style POSIX access is shard-transparent.
+The coordinator is a lease-aware batch source (``AsyncBatchServer``
+serves it over the wire unchanged; GET_BATCH may carry a ``tenant``) and
+the only :class:`~repro.vfs.provider.FileSystemProvider` of the system;
+a plain service is the front end over one shard (``mount_sand``).
+Views served (S5.1, Tables 1-2):
+
+* ``/{task}/{epoch}/{iteration}/view`` — a training batch (array blob),
+  read through :meth:`ShardCoordinator.get_batch_lease` like a wire
+  read (default tenant, ring, failover, booked as served); xattrs
+  ``shape``, ``dtype``, ``videos``, ``labels``, ``timestamps``,
+  ``frame_indices`` come from the fleet's plan,
+* ``/{task}/{video}.mp4`` — the encoded source video, from the dataset,
+* ``/{task}/{video}/frame{i}`` — a decoded frame, and
+  ``/{task}/{video}/frame{i}/aug{d}`` — an augmented frame at depth d,
+  both from one shard and not booked as served batches,
+* ``/{task}/ctrl`` — the task-lifecycle control file: opening it starts
+  the task on every shard, closing it ends it there (the paper's
+  remaining "4 lines ... communicate the start and end of tasks").
+
+``lookup``, ``listdir`` and every xattr except the ``shape``/``dtype``
+of a leaf whose spec is not static read only the fleet's plan, the
+task's dataset and the op registry: they roll no window, start no
+engine and are not booked as routed or served.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -60,11 +81,14 @@ from typing import (
 import numpy as np
 
 from repro.analysis.locks import make_lock
+from repro.augment.registry import default_registry
 from repro.core.concrete_graph import BatchAssembly, MaterializationPlan
 from repro.core.dataplane import AsyncBatchServer, BatchLease, NotReady
+from repro.core.engine import batch_metadata
+from repro.core.materializer import leaf_spec
 from repro.core.service import SandService
 from repro.core.tenancy import DEFAULT_TENANT, AdmissionController, AdmissionTicket
-from repro.core.views import BatchView, try_parse_view_path
+from repro.core.views import BatchView, FrameView, VideoView, View, try_parse_view_path
 from repro.faults.schedule import (
     SITE_COORD_PLACE,
     SITE_COORD_REBALANCE,
@@ -72,8 +96,12 @@ from repro.faults.schedule import (
     SITE_SHARD_SERVE,
     FaultSchedule,
 )
+from repro.storage.blobs import encode_array
 from repro.storage.objectstore import TransientStorageError
+from repro.vfs.errors import FileNotFoundVfsError, NoAttributeError, NotADirectoryVfsError
 from repro.vfs.provider import FileHandle, FileSystemProvider, NodeInfo
+
+CTRL_NAME = "ctrl"
 
 
 class ShardingError(RuntimeError):
@@ -191,7 +219,8 @@ def content_key(samples: Signature) -> str:
 
 
 class ShardCoordinator(FileSystemProvider):
-    """Routes batch and POSIX traffic across N deterministic shards.
+    """The front end: routes batches across N deterministic shards and
+    answers the view namespace.
 
     ``shards`` is a mapping of shard id to :class:`SandService` (or a
     sequence, auto-named ``shard-0..N-1``).  All shards must be built
@@ -321,20 +350,26 @@ class ShardCoordinator(FileSystemProvider):
         """The batch's *name* (fault-site key; ring key of unplanned batches)."""
         return f"{task}/{epoch}/{iteration}"
 
-    def _plan(self, task: str, epoch: int, wait: bool = True) -> MaterializationPlan:
+    def _front(self) -> SandService:
+        """The shard whose configs, dataset and registry stand for the
+        fleet's (every shard is built alike)."""
+        with self._lock:
+            return next(iter(self._shards.values()))
+
+    def window_plan(
+        self, epoch: int, task: str, wait: bool = True
+    ) -> MaterializationPlan:
         """The fleet's (deterministic) plan of the window holding
         ``epoch``: read through the shared cache, so no shard's window
         moves and any shard's answer is every shard's."""
-        with self._lock:
-            shard = next(iter(self._shards.values()))
-        return shard.window_plan(epoch, task, wait=wait)
+        return self._front().window_plan(epoch, task, wait=wait)
 
     def _assembly(
         self, task: str, epoch: int, iteration: int, wait: bool = True
     ) -> Optional[BatchAssembly]:
         """The batch's composition, from the fleet's plan."""
         try:
-            return self._plan(task, epoch, wait).batches.get((task, epoch, iteration))
+            return self.window_plan(epoch, task, wait).batches.get((task, epoch, iteration))
         except KeyError:  # unknown task: the serving shard reports it
             return None
 
@@ -488,7 +523,7 @@ class ShardCoordinator(FileSystemProvider):
     def iterations_per_epoch(self, task: str, epoch: int = 0) -> int:
         """Metadata query: answered from the fleet's plan, not counted
         as a routed batch and never rolling a window."""
-        return self._plan(task, epoch).iterations_per_epoch[task]
+        return self.window_plan(epoch, task).iterations_per_epoch[task]
 
     def serve_async(
         self,
@@ -557,39 +592,152 @@ class ShardCoordinator(FileSystemProvider):
             "fault_fires": fire_counts,
         }
 
-    # -- FileSystemProvider (shard-transparent POSIX) ------------------------
-    def _vfs_route(self, path: str) -> Tuple[str, int, int]:
-        """(task, epoch, iteration) for routing a path's traffic.
-
-        Batch views route exactly like ``get_batch`` (so POSIX reads
-        hit the dedup owner's warm objects); every other path routes by
-        its task name with epoch/iteration 0.
-        """
+    # -- the view namespace (S5.1, Tables 1-2) ------------------------------
+    # Metadata reads only the fleet's plan, the task's dataset and the op
+    # registry: no window rolls, no engine starts, nothing is booked.
+    def _view(self, path: str) -> View:
+        """The Table-1 view ``path`` names, of a known task, or ENOENT."""
         view = try_parse_view_path(path)
-        if isinstance(view, BatchView):
-            return view.task, view.epoch, view.iteration
-        parts = [p for p in path.split("/") if p]
-        task = parts[0] if parts else ""
-        return task, 0, 0
+        if view is None or view.task not in self._front().tasks:
+            raise FileNotFoundVfsError(path)
+        return view
 
     def lookup(self, path: str) -> NodeInfo:
-        parts = [p for p in path.split("/") if p]
-        if not parts:
-            return NodeInfo(path, is_dir=True)
-        task, epoch, iteration = self._vfs_route(path)
-        return self._serve(task, epoch, iteration, lambda s: s.lookup(path))
+        parts = _parts(path)
+        if parts and parts[0] not in self._front().tasks:
+            raise FileNotFoundVfsError(path)
+        is_file = parts[1:] == [CTRL_NAME] or try_parse_view_path(path) is not None
+        return NodeInfo(path, is_dir=not is_file)
 
     def open(self, path: str) -> FileHandle:
-        task, epoch, iteration = self._vfs_route(path)
-        return self._serve(task, epoch, iteration, lambda s: s.open(path))
+        parts = _parts(path)
+        if parts[1:] == [CTRL_NAME] and parts[0] in self._front().tasks:
+            with self._lock:
+                shards = list(self._shards.values())
+            for shard in shards:
+                shard.start_task(parts[0])
+            return _CtrlHandle(path, shards, parts[0])
+        view = self._view(path)
+        shard = self._front()
+        try:
+            if isinstance(view, BatchView):
+                if self._assembly(view.task, view.epoch, view.iteration) is None:
+                    raise FileNotFoundVfsError(path)  # before admission, ring or engine
+                lease, _ = self.get_batch_lease(view.task, view.epoch, view.iteration)
+                with lease:
+                    # The blob encode duplicates the batch for the POSIX
+                    # read path: a trainer-boundary copy, booked on the
+                    # lease; the buffer then goes back to the pool.
+                    lease.book_copy()
+                    return FileHandle(encode_array(lease.array), path)
+            if isinstance(view, VideoView):
+                dataset = shard.dataset_for(view.task)
+                if view.video not in dataset.video_ids:
+                    raise FileNotFoundVfsError(path)
+                return FileHandle(dataset.get_bytes(view.video), path)
+            if isinstance(view, FrameView):
+                array = shard.frame_array(view.task, view.video, view.index)
+            else:
+                array = shard.aug_frame_array(
+                    view.task, view.video, view.index, view.depth
+                )
+        except KeyError as exc:
+            raise FileNotFoundVfsError(path, str(exc)) from exc
+        return FileHandle(encode_array(array), path)
 
     def getxattr(self, path: str, name: str) -> bytes:
-        task, epoch, iteration = self._vfs_route(path)
-        return self._serve(task, epoch, iteration, lambda s: s.getxattr(path, name))
+        view = self._view(path)
+        shard = self._front()
+        dataset = shard.dataset_for(view.task)
+        if isinstance(view, BatchView):
+            key = (view.task, view.epoch, view.iteration)
+            plan = self.window_plan(view.epoch, view.task)
+            assembly = plan.batches.get(key)
+            if assembly is None:
+                raise FileNotFoundVfsError(path)
+            if name in ("shape", "dtype"):
+                # From the plan, as ``_assemble`` sizes its buffer; only a
+                # leaf whose spec is not static needs the batch itself.
+                video, leaf = assembly.samples[0]
+                registry = shard.registry or default_registry()
+                spec = leaf_spec(plan.graphs[video], registry, leaf)
+                if spec is None:
+                    lease, _ = self.get_batch_lease(*key)
+                    with lease:
+                        spec = (lease.array.shape[1:], lease.array.dtype)
+                shape, dtype = spec
+                if name == "shape":
+                    return json.dumps([len(assembly.samples), *shape]).encode()
+                return str(dtype).encode()
+            metadata = batch_metadata(plan, dataset, assembly)
+            if name in metadata:
+                return json.dumps(metadata[name]).encode()
+        elif view.video not in dataset.video_ids:
+            raise FileNotFoundVfsError(path)
+        elif isinstance(view, VideoView):
+            if name == "metadata":
+                md = dataset.metadata(view.video)
+                return json.dumps(
+                    {
+                        "width": md.width,
+                        "height": md.height,
+                        "num_frames": md.num_frames,
+                        "fps": md.fps,
+                        "gop_size": md.gop_size,
+                    }
+                ).encode()
+        elif name == "timestamp":
+            fps = dataset.metadata(view.video).fps
+            return json.dumps(round(view.index / fps, 6)).encode()
+        elif name == "video":
+            return view.video.encode()
+        raise NoAttributeError(path, f"no xattr {name!r}")
 
     def listdir(self, path: str) -> List[str]:
-        task, epoch, iteration = self._vfs_route(path)
-        return self._serve(task, epoch, iteration, lambda s: s.listdir(path))
+        parts = _parts(path)
+        tasks = self._front().tasks
+        if not parts:
+            return sorted(tasks)
+        task = parts[0]
+        if task not in tasks:
+            raise FileNotFoundVfsError(path)
+        if try_parse_view_path(path) is not None:
+            raise NotADirectoryVfsError(path)
+        if len(parts) == 1:
+            # Window 0's epochs: shards may sit in different live windows.
+            dataset = self._front().dataset_for(task)
+            entries = {CTRL_NAME, *(f"{video}.mp4" for video in dataset.video_ids)}
+            entries.update(str(epoch) for epoch in self.window_plan(0, task).epochs)
+            return sorted(entries)
+        if len(parts) == 2 and parts[1].isdigit():
+            epoch = int(parts[1])
+            iterations = sorted(
+                b.iteration
+                for b in self.window_plan(epoch, task).batches.values()
+                if b.task == task and b.epoch == epoch
+            )
+            if iterations:
+                return [str(i) for i in iterations]
+        if len(parts) == 3 and parts[1].isdigit() and parts[2].isdigit():
+            return ["view"]
+        raise FileNotFoundVfsError(path)
 
-    def release(self, handle: FileHandle) -> None:
-        handle.close()
+
+def _parts(path: str) -> List[str]:
+    return [p for p in path.split("/") if p]
+
+
+class _CtrlHandle(FileHandle):
+    """``/{task}/ctrl``: opened, the task started on every shard; closing
+    it ends the task on each of them."""
+
+    def __init__(self, path: str, shards: List[SandService], task: str) -> None:
+        super().__init__(b"", path)
+        self._shards = shards
+        self._task = task
+
+    def close(self) -> None:
+        if not self.closed:
+            for shard in self._shards:
+                shard.end_task(self._task)
+        super().close()

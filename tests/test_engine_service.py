@@ -531,13 +531,28 @@ def test_aug_frame_view(client_service, dataset):
 
 
 def test_missing_views_raise_enoent(client_service):
-    client, _ = client_service
+    client, service = client_service
     with pytest.raises(FileNotFoundVfsError):
         client.open("/t/ghost_video.mp4")
     with pytest.raises(FileNotFoundVfsError):
         client.open("/nope/0/0/view")
     with pytest.raises(FileNotFoundVfsError):
         client.open("/t/0/9999/view")
+    assert service.engine is None  # no miss reached an engine
+
+
+@pytest.mark.parametrize(
+    "path, name",
+    [
+        ("/t/0/9999/view", "shape"),
+        ("/t/ghost/frame0", "timestamp"),
+        ("/t/ghost.mp4", "metadata"),
+    ],
+)
+def test_getxattr_of_a_missing_view_raises_enoent(client_service, path, name):
+    client, _ = client_service
+    with pytest.raises(FileNotFoundVfsError):
+        client.getxattr(path, name)
 
 
 def test_xattrs(client_service):
@@ -560,8 +575,20 @@ def test_listdir_navigation(client_service, dataset):
     assert f"{dataset.video_ids[0]}.mp4" in entries
     assert "0" in entries
     iters = vfs.listdir("/sand/t/0")
-    assert iters == [str(i) for i in range(service.plan.iterations_per_epoch["t"])]
+    planned = service.window_plan(0, "t").iterations_per_epoch["t"]
+    assert iters == [str(i) for i in range(planned)]
     assert vfs.listdir("/sand/t/0/0") == ["view"]
+
+
+def test_metadata_never_rolls_the_live_window(client_service):
+    client, service = client_service
+    engine = service.ensure_window(0)
+    assert json.loads(client.getxattr("/t/4/0/view", "videos"))
+    assert service.plan.epoch_start == 0
+    assert service.engine is engine
+    planned = service.window_plan(2, "t").iterations_per_epoch["t"]
+    assert client.vfs.listdir("/sand/t/2") == [str(i) for i in range(planned)]
+    assert service.engine is engine
 
 
 def test_window_rolls_to_next_epochs(client_service):

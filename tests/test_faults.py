@@ -354,7 +354,7 @@ def test_faulty_decoder_raises_transient_decode_error(dataset, plan):
 
 
 def test_faulty_provider_injects_vfs_faults(dataset):
-    from repro.core import SandClient
+    from repro.core import SandClient, ShardCoordinator
 
     client, service = SandClient.create(
         [make_config()], dataset, storage_budget_bytes=10**8, num_workers=0
@@ -364,7 +364,7 @@ def test_faulty_provider_injects_vfs_faults(dataset):
             seed=SEED,
             specs=[FaultSpec(kind="transient-error", site="vfs.open", at_count=1)],
         )
-        provider = FaultyProvider(service, schedule)
+        provider = FaultyProvider(ShardCoordinator([service]), schedule)
         path = f"/t/{dataset.video_ids[0]}.mp4"
         with pytest.raises(TransientVfsError):
             provider.open(path)

@@ -67,7 +67,7 @@ def test_two_tasks_one_service(dataset):
         assert batch_a.shape[1] == 4
         assert batch_b.shape[1] == 6
         # Both tasks visible in the namespace.
-        assert service.listdir("/") == ["a", "b"]
+        assert ShardCoordinator([service]).listdir("/") == ["a", "b"]
     finally:
         service.shutdown()
 

@@ -37,11 +37,14 @@ from repro.core import (
     AllShardsDownError,
     BatchSocketClient,
     HashRing,
+    SandClient,
     SandService,
     ShardCoordinator,
     ShardingError,
     load_task_config,
+    mount_sand,
 )
+from repro.core.views import BatchView
 from repro.datasets import DatasetSpec, SyntheticDataset
 from repro.faults import (
     SITE_ENGINE_JOB,
@@ -611,40 +614,93 @@ def test_cannot_remove_last_shard():
         coordinator.shutdown()
 
 
-# -- shard-transparent POSIX -------------------------------------------------
+# -- the one POSIX front end --------------------------------------------------
+
+BATCH_XATTRS = ("videos", "labels", "timestamps", "frame_indices", "shape", "dtype")
 
 
-def test_vfs_access_is_shard_transparent():
-    reference = make_shard()
-    coordinator = ShardCoordinator([make_shard() for _ in range(3)])
-    try:
-        assert coordinator.lookup("/").is_dir
-        assert coordinator.listdir("/") == reference.listdir("/")
-        assert coordinator.listdir("/t") == reference.listdir("/t")
-        path = "/t/0/0/view"
-        want = reference.open(path).read()
-        handle = coordinator.open(path)
-        assert handle.read() == want
-        coordinator.release(handle)
-        assert (
-            coordinator.getxattr(path, "shape")
-            == reference.getxattr(path, "shape")
+def posix_front(n, seed, faulted):
+    """A client over ``n`` shards, mounted through ``mount_sand``: one
+    plain service, or a coordinator over several."""
+    shards = [
+        make_shard(
+            seed=seed,
+            fault_schedule=capstone_schedule(seed) if faulted else None,
+            store=LocalStore(10**8) if faulted else None,
         )
+        for _ in range(n)
+    ]
+    front = shards[0] if n == 1 else ShardCoordinator(shards)
+    return SandClient(mount_sand(front)), front
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "capstone"])
+def test_vfs_access_is_shard_transparent(seed, faulted):
+    reference = make_shard(seed=seed)
+    one, one_front = posix_front(1, seed, faulted)
+    three, three_front = posix_front(3, seed, faulted)
+    try:
+        assert three.vfs.stat("/sand").is_dir
+        for path in ("/sand", "/sand/t", "/sand/t/0", "/sand/t/2"):
+            assert three.vfs.listdir(path) == one.vfs.listdir(path), path
+        for window in (0, 2):
+            for key in sorted(reference.window_plan(window, "t").batches):
+                path = BatchView(*key).path()
+                want, _ = reference.get_batch(*key)
+                got = one.read_array(path)
+                assert got.tobytes() == want.tobytes(), key
+                assert three.read_array(path).tobytes() == want.tobytes(), key
+                for name in BATCH_XATTRS:
+                    assert three.getxattr(path, name) == one.getxattr(path, name)
+                assert json.loads(one.getxattr(path, "shape")) == list(got.shape)
+        assert three_front.routing_report()["failovers"] == 0
     finally:
         reference.shutdown()
+        one_front.shutdown()
+        three_front.shutdown()
+
+
+def test_metadata_reaches_no_engine_and_is_not_booked():
+    coordinator = ShardCoordinator([make_shard() for _ in range(2)])
+    try:
+        assert coordinator.listdir("/") == ["t"]
+        assert coordinator.lookup("/t").is_dir
+        coordinator.getxattr("/t/0/0/view", "videos")
+        assert "0" in coordinator.listdir("/t")
+        coordinator.getxattr("/t/0/0/view", "shape")
+        report = coordinator.routing_report()
+        assert set(report["routed"].values()) == {0}
+        assert set(report["served"].values()) == {0}
+        for sid in coordinator.shard_ids():
+            assert coordinator.shard(sid).engine is None
+    finally:
+        coordinator.shutdown()
+
+
+def test_ctrl_starts_and_ends_the_task_on_every_shard():
+    coordinator = ShardCoordinator([make_shard() for _ in range(2)])
+    client = SandClient(mount_sand(coordinator))
+    shards = [coordinator.shard(sid) for sid in coordinator.shard_ids()]
+    try:
+        ctrl = client.begin_task("t")
+        assert [shard.active_tasks for shard in shards] == [{"t"}, {"t"}]
+        client.finish_task(ctrl)
+        for shard in shards:
+            assert shard.active_tasks == set()
+            assert shard.engine is None or not shard.engine.running
+    finally:
         coordinator.shutdown()
 
 
 def test_batch_shape_xattrs_come_from_the_plan():
     service = make_shard()
+    front = ShardCoordinator([service])
     try:
         path = "/t/0/0/view"
-        shape = json.loads(service.getxattr(path, "shape"))
-        dtype = service.getxattr(path, "dtype")
-        stats = service.engine.stats
-        assert stats.batches_served == 0
-        assert stats.dataplane["leases_issued"] == 0
-        assert stats.demand_materializations == 0
+        shape = json.loads(front.getxattr(path, "shape"))
+        dtype = front.getxattr(path, "dtype")
+        assert service.engine is None  # no window started, nothing assembled
         lease, _ = service.get_batch_lease("t", 0, 0)
         with lease:
             assert shape == list(lease.array.shape)
@@ -665,10 +721,11 @@ def test_batch_shape_xattrs_of_a_clip_scoped_task_match_the_batch():
         }],
     }})
     service = SandService([config], make_dataset(), num_workers=0, prefetch_depth=0)
+    front = ShardCoordinator([service])
     try:
-        shape = json.loads(service.getxattr("/t/0/0/view", "shape"))
+        shape = json.loads(front.getxattr("/t/0/0/view", "shape"))
         assert shape == [2, 2, 12, 16, 3]
-        assert service.getxattr("/t/0/0/view", "dtype") == b"uint8"
+        assert front.getxattr("/t/0/0/view", "dtype") == b"uint8"
     finally:
         service.shutdown()
 
