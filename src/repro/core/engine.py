@@ -260,6 +260,9 @@ class PreprocessingEngine:
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
         self._started = False
+        # A warm engine's prefetch claims also wait while this says the
+        # trainers of the live engines are busy (see warm); None once started.
+        self._defer_to: Optional[Callable[[], bool]] = None
         # Claim-time priority: demand > prefetch > pre-materialization.
         self._work_gate = WorkGate()
         self._prefetcher: Optional[BatchPrefetcher] = (
@@ -278,6 +281,7 @@ class PreprocessingEngine:
         """
         if self._started:
             return
+        self._defer_to = None
         self._stop.clear()
         self._threads = [t for t in self._threads if t.is_alive()]
         self._started = True
@@ -290,19 +294,35 @@ class PreprocessingEngine:
         if self._prefetcher is not None:
             self._prefetcher.start()
 
+    def warm(self, defer_to: Callable[[], bool]) -> None:
+        """Start only the prefetcher, for an engine whose window is not
+        live yet: it assembles each task's first batches, claiming only
+        while ``defer_to()`` is false (the live engines' trainers are
+        idle) on top of the usual checks.  ``start()`` ends the deferring
+        and launches the pre-materialization workers."""
+        self._defer_to = defer_to
+        if self._prefetcher is not None:
+            self._prefetcher.start()
+
     @property
     def running(self) -> bool:
         """Started and not stopped: ``start()`` would do nothing."""
         return self._started
 
-    def stop(self) -> None:
+    def stop(self, join: bool = True) -> None:
         """Signal and join workers, then fold the stats so a stopped (or
         rolled-away) engine's held stats object is final.  Idempotent and
         exception-safe: calling it twice, or after a worker thread died
-        from an exception, neither hangs nor double-joins."""
+        from an exception, neither hangs nor double-joins.
+
+        ``join=False`` only signals: the workers finish what they hold
+        and exit on their own, queued batches stay takeable and the
+        demand path still serves; a later ``stop()`` joins them."""
         self._stop.set()
         if self._prefetcher is not None:
-            self._prefetcher.stop()
+            self._prefetcher.stop(join)
+        if not join:
+            return
         threads, self._threads = self._threads, []
         current = threading.current_thread()
         for thread in threads:
@@ -359,14 +379,15 @@ class PreprocessingEngine:
             "jobs_scoped_out": len(self.plan.graphs) - len(self.scheduler.jobs),
         }
 
-    def retire(self) -> None:
+    def retire(self, join: bool = True) -> None:
         """``stop`` for an engine that will not be restarted (rolled away
         or shut down): its queued speculative batches go back to the pool
         and its memoized arrays are dropped now.  (The engine sits in
         reference cycles with its scheduler and prefetcher, so they would
         otherwise stay resident until the cyclic collector's next full
-        pass; a straggling request simply recomputes.)"""
-        self.stop()
+        pass; a straggling request simply recomputes.)  ``join=False``
+        leaves the signalled workers to a later ``retire()``."""
+        self.stop(join)
         if self._prefetcher is not None:
             self._prefetcher.discard()
         with self._mat_lock:
@@ -461,8 +482,11 @@ class PreprocessingEngine:
             step = self.plan.global_step(task, epoch, iteration)
             with self._progress_lock:
                 self._progress[task] = max(self._progress[task], step)
-            if self.cache is not None:
-                self.cache.advance(step)
+            cache = self.cache
+            if cache is not None and (cache.plan is None or cache.plan is self.plan):
+                # The clock counts the registered window's steps: a
+                # straggler of the window before must not move it.
+                cache.advance(step)
 
             if wait and self._prefetcher is not None:
                 ready = self._prefetcher.take(task, epoch, iteration)
@@ -512,10 +536,12 @@ class PreprocessingEngine:
 
     def prefetch_allowed(self) -> bool:
         """Speculation runs only below demand work and memory pressure."""
+        defer_to = self._defer_to
         return (
             not self._stop.is_set()
             and self._work_gate.clear_above(WorkClass.PREFETCH)
             and not self.memory_pressure()
+            and (defer_to is None or not defer_to())
         )
 
     def memory_pressure(self) -> bool:
@@ -524,7 +550,7 @@ class PreprocessingEngine:
     def foreground_idle(self) -> bool:
         """No demand or prefetch assembly is running: what the lowest
         priority work — a pre-materialization claim, the service's
-        plan-ahead build — waits for."""
+        plan-ahead build and warm engine — waits for."""
         return self._work_gate.clear_above(WorkClass.PREMATERIALIZE)
 
     def prefetch_queue_depth(self) -> int:

@@ -207,9 +207,12 @@ class BatchPrefetcher:
             thread.start()
             self._threads.append(thread)
 
-    def stop(self) -> None:
-        """Signal and join workers; queued batches stay takeable."""
+    def stop(self, join: bool = True) -> None:
+        """Signal and (with ``join``) join workers; queued batches stay
+        takeable."""
         self._stop.set()
+        if not join:
+            return
         threads, self._threads = self._threads, []
         current = threading.current_thread()
         for thread in threads:

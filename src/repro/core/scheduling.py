@@ -50,11 +50,11 @@ class WorkGate:
     ``enter``/``exit`` bracket a unit of running work and never block.
     Lower-priority claim loops call :meth:`clear_above` before taking
     new work: a pre-materialization worker — and, between two videos,
-    the service's plan-ahead builder — defers while any demand or
-    prefetch assembly runs, and a prefetch worker defers while demand
-    feeding runs.  Work already in flight is never preempted — priority
-    is enforced purely at claim time, which keeps the gate trivially
-    deadlock-free (no waits, just counters).
+    the service's plan-ahead builder, and a warm engine's prefetcher —
+    defers while any demand or prefetch assembly runs, and a prefetch
+    worker defers while demand feeding runs.  Work already in flight is
+    never preempted — priority is enforced purely at claim time, which
+    keeps the gate trivially deadlock-free (no waits, just counters).
     """
 
     def __init__(self) -> None:

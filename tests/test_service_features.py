@@ -266,8 +266,10 @@ def test_roll_into_a_window_planned_ahead_is_a_cache_hit(dataset, monkeypatch):
         service.get_batch("t", 2, 0)
         after = service.status()["plan_cache"]
         assert service.plan.epoch_start == 2
-        assert after["builds"] == before["builds"] and after["hits"] == before["hits"] + 1
-        assert calls == [0, 2]
+        assert after["hits"] == before["hits"] + 1
+        # The roll went live warm, so window 4 is planned ahead at once.
+        wait_for(lambda: service.plan_cache.report()["builds"] == 3)
+        assert calls == [0, 2, 4]
     finally:
         service.shutdown()
 
@@ -287,9 +289,10 @@ def test_trainer_arriving_mid_build_waits_and_does_not_build(dataset, monkeypatc
         gate.set()
         trainer.join(10)
         assert not trainer.is_alive() and service.plan.epoch_start == 2
-        assert calls == [0, 2]
+        wait_for(lambda: service.plan_cache.report()["builds"] == 3)  # window 4, ahead
+        assert calls == [0, 2, 4]
         report = service.plan_cache.report()
-        assert (report["builds"], report["ahead_builds"]) == (2, 1)
+        assert (report["builds"], report["ahead_builds"], report["waits"]) == (3, 2, 1)
     finally:
         gate.set()
         service.shutdown()
@@ -414,9 +417,10 @@ def test_roll_waiting_on_a_parked_build_unparks_it(sanitized, dataset, monkeypat
             assert gate.running(WorkClass.DEMAND) == 1  # ... and it still is
         finally:
             gate.exit(WorkClass.DEMAND)
-        assert calls == [0, 2]
+        wait_for(lambda: service.plan_cache.report()["builds"] == 3)  # window 4, ahead
+        assert calls == [0, 2, 4]
         report = service.plan_cache.report()
-        assert (report["builds"], report["ahead_builds"], report["waits"]) == (2, 1, 1)
+        assert (report["builds"], report["ahead_builds"], report["waits"]) == (3, 2, 1)
         assert report["roll_wait_ms"] > 0
     finally:
         service.shutdown()
@@ -459,13 +463,14 @@ def test_fleet_build_defers_to_a_shard_that_did_not_start_it(
         try:
             fleet.get_batch("t", 1, 0)
             wait_until_parked(answers)
-            # The other shards reach their last epoch too: the window is
-            # already being planned, and nobody queues up behind it (a
-            # waiter would end the deferring).
+            # The other shards roll ahead too, each with a planner of its
+            # own to warm its own engine: the window is already being
+            # planned, so they wait for that one build without hurrying
+            # it (a roll's wait would end the deferring).
             for shard in shards:
                 shard.ensure_window(1)
             planners = [t for t in threading.enumerate() if t.name == "sand-plan-ahead"]
-            assert len(planners) == 1
+            assert len(planners) == len(shards)
             report = fleet.plan_cache.report()
             assert (report["builds"], report["waits"]) == (1, 0)
             parked_at = len(answers)
