@@ -166,7 +166,10 @@ def test_socket_stream_and_books_match_with_and_without_the_inline_path(
         for service in (inline, hopped):
             assert service.delivery_pool.leases_outstanding == 0
         # What was planned, not how long anyone waited for it (``waits``
-        # and the ``*_ms`` keys depend on where the roll met the build).
+        # and the ``*_ms`` keys depend on where the roll met the build),
+        # once the roll-ahead the swap into window 2 started is done.
+        for service in (inline, hopped):
+            assert service._single_group().warmed.wait(10)
         planned = [
             {name: service.plan_cache.report()[name]
              for name in ("builds", "ahead_builds", "hits", "windows")}
@@ -204,7 +207,7 @@ def test_only_ready_batches_are_served_inline(dataset, tmp_path):
             # The window's last epoch: its first request starts plan-ahead
             # (something to do: a miss); the rest is a memcpy each.
             assert served(last) == (len(last) - 1, 1)
-            service._single_group().planner.join()
+            assert service._single_group().warmed.wait(10)  # the roll-ahead is done
             assert service.plan_cache.report()["ahead_builds"] == 1
             assert served(last) == (len(last), 0)
             assert served(epoch_keys(service, 2)[:1]) == (0, 1)  # a roll
