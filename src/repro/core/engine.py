@@ -365,6 +365,16 @@ class PreprocessingEngine:
         if self._prefetcher is not None:
             self._prefetcher.reload()
 
+    def use_anchor_cache(self, cache: AnchorCache) -> None:
+        """Decode through ``cache`` from now on: materializers built later
+        and every existing one, its open decoder included.  Safe on a
+        running engine, like :meth:`rescope`."""
+        self.anchor_cache = cache
+        with self._mat_lock:
+            materializers = list(self._materializers.values())
+        for materializer in materializers:
+            materializer.use_anchor_cache(cache)
+
     def consumed_keys(self) -> Set[str]:
         """Frontier leaves already delivered to their only planned use
         (never persisted; nothing in the rest of the window reads them)."""

@@ -22,13 +22,13 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.analysis.locks import make_rlock
+from repro.analysis.locks import make_lock, make_rlock
 from repro.analysis.sanitizers import buffer_sanitizer
 from repro.augment.fusion import TrafficLedger, plan_for
 from repro.augment.ops import AugmentOp
 from repro.augment.registry import OpRegistry, default_registry
 from repro.codec.container import ContainerError
-from repro.codec.incremental import AnchorCache
+from repro.codec.incremental import AnchorCache, IncrementalDecoder
 from repro.codec.registry import VideoDecoder, open_decoder
 from repro.codec.signals import FrameSignals
 from repro.core.concrete_graph import ObjectNode, VideoGraph
@@ -163,6 +163,9 @@ class VideoMaterializer:
         self._leaf_specs: Dict[str, Optional[Tuple[Tuple[int, ...], np.dtype]]] = {}
         self._decoder: Optional[VideoDecoder] = None
         self._lock = make_rlock("materializer")
+        # Pairs ``anchor_cache`` with the open decoder's cache, so a
+        # re-point and a decode call never leave them apart.
+        self._cache_lock = make_lock("materializer.anchor-cache")
 
     # -- public API ---------------------------------------------------------
     def get(self, key: str) -> np.ndarray:
@@ -304,6 +307,24 @@ class VideoMaterializer:
                 f"{self.graph.video_id}: bytes_in_memory accounting drift "
                 f"({self.stats.bytes_in_memory} tracked vs {actual} actual)"
             )
+
+    def use_anchor_cache(self, cache: AnchorCache) -> None:
+        """Decode through ``cache`` from now on, the open decoder too.
+
+        Safe at any time: anchors are keyed by video id and decoded bytes
+        never depend on which cache held them, so only reuse changes.
+        Does not wait for the materializer's lock (a decode holds it for
+        a whole video): a decode already running finishes on the cache
+        it had, and every decode call re-points the decoder first.
+        """
+        with self._cache_lock:
+            self.anchor_cache = cache
+            self._point_decoder_locked()
+
+    def _point_decoder_locked(self) -> None:
+        decoder = getattr(self._decoder, "inner", self._decoder)  # under a fault proxy
+        if isinstance(decoder, IncrementalDecoder) and self.anchor_cache is not None:
+            decoder.cache = self.anchor_cache
 
     def release_all(self) -> None:
         with self._lock:
@@ -620,6 +641,8 @@ class VideoMaterializer:
                 self._decoder = self.decoder_wrapper(
                     self._decoder, self.graph.video_id
                 )
+        with self._cache_lock:
+            self._point_decoder_locked()
         gop = self.graph.metadata.gop
         by_gop: Dict[int, List[int]] = {}
         for index in missing:

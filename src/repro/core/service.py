@@ -364,8 +364,9 @@ class SandService:
         self.cache = CacheManager(self.store)
         # One anchor cache for the service's lifetime: rolling to a new
         # plan window rebuilds the engine, but decoded anchor state keeps
-        # paying off across windows (videos recur every epoch).
-        self.anchor_cache = AnchorCache()
+        # paying off across windows (videos recur every epoch); a
+        # coordinator points its shards at one shared instance.
+        self._anchor_cache = AnchorCache()
 
         self._window_lock = make_rlock("service.window")
         # Planned windows, re-used when the service flips back to a
@@ -438,6 +439,24 @@ class SandService:
     def plan_cache(self, cache: PlanCache) -> None:
         self._plan_cache = cache
         cache.share_with(self)  # whoever plans ahead into it defers to our trainers too
+
+    @property
+    def anchor_cache(self) -> AnchorCache:
+        return self._anchor_cache
+
+    @anchor_cache.setter
+    def anchor_cache(self, cache: AnchorCache) -> None:
+        """Decode through ``cache`` from now on.  Like :meth:`set_scope`,
+        the live, warm and straggler engines are re-pointed in place (their
+        materializers and open decoders too) and later windows start on it."""
+        with self._window_lock:
+            if cache is self._anchor_cache:
+                return
+            self._anchor_cache = cache
+            for group in self._groups.values():
+                for window in (group.live, group.warm, group.previous):
+                    if window is not None:
+                        window.engine.use_anchor_cache(cache)
 
     def trainers_busy(self) -> bool:
         """Is demand or prefetch work running on a live engine?  Takes no
@@ -609,6 +628,11 @@ class SandService:
             engine = self._engine(group, plan, pruning)
             engine.warm(self.plan_cache.trainers_busy)
             group.warm = _Window(start, plan, pruning, engine, self.cache.use_steps(plan, pruning))
+            # The setter re-points group.warm under the window lock, which
+            # a roll holds while it waits for us: if it ran between
+            # _engine and the line above, catch up here.
+            if engine.anchor_cache is not self.anchor_cache:
+                engine.use_anchor_cache(self.anchor_cache)
         finally:
             warmed.set()
             if straggler is not None:
@@ -723,9 +747,10 @@ class SandService:
             self.delivery_pool.note_leaks()
             # Flush write-behind storage and release pack mappings.
             self.cache.close()
-            # Decoded anchors are the service's largest allocation.  A
-            # service that served over a socket lives on until the cycle
-            # collector reaches its batch server, so drop them now.
+            # Decoded anchors are the service's largest allocation (in a
+            # fleet, the shards' one shared cache).  A service that served
+            # over a socket lives on until the cycle collector reaches its
+            # batch server, so drop them now.
             self.anchor_cache.clear()
 
     # -- operations ------------------------------------------------------------

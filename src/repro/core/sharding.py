@@ -21,7 +21,9 @@ buys three things cheaply:
   computable up front, each shard pre-materializes and prefetches only
   the batches it owns (:meth:`SandService.set_scope`), and the fleet
   plans each window once (one shared
-  :class:`~repro.core.service.PlanCache`).  Serving is never scoped.
+  :class:`~repro.core.service.PlanCache`) and decodes each anchor once
+  (one shared :class:`~repro.codec.incremental.AnchorCache`, under one
+  budget).  Serving is never scoped.
 * **Failover** is re-routing: when a shard is unreachable (the
   ``shard-down`` fault window, keyed by shard id), the coordinator walks
   the key's ring preference order to the next live shard, which serves
@@ -82,6 +84,7 @@ import numpy as np
 
 from repro.analysis.locks import make_lock
 from repro.augment.registry import default_registry
+from repro.codec.incremental import AnchorCache
 from repro.core.concrete_graph import BatchAssembly, MaterializationPlan
 from repro.core.dataplane import AsyncBatchServer, BatchLease, NotReady
 from repro.core.engine import batch_metadata
@@ -227,8 +230,9 @@ class ShardCoordinator(FileSystemProvider):
     from the same configs/dataset/seed; the coordinator never checks
     this (planning determinism is the system's core invariant, tested
     by the differential suites), it only routes — and, relying on it,
-    makes the shards share one plan cache and scopes each shard's
-    background work to the batches the ring hands it.
+    makes the shards share one plan cache and one anchor cache and
+    scopes each shard's background work to the batches the ring hands
+    it.
     """
 
     def __init__(
@@ -260,6 +264,10 @@ class ShardCoordinator(FileSystemProvider):
         # The fleet plans each window once: the first shard's cache
         # (which already holds whatever it planned) becomes everyone's.
         self.plan_cache = next(iter(shard_map.values())).plan_cache
+        # ... and decodes each video's anchors once, under one budget:
+        # the ring sends clips of one video to several shards, and
+        # decoded bytes are a pure function of the container.
+        self.anchor_cache = next(iter(shard_map.values())).anchor_cache
         for shard_id, shard in shard_map.items():
             self._adopt(shard_id, shard)
 
@@ -280,9 +288,10 @@ class ShardCoordinator(FileSystemProvider):
         return self.ring.owner(content_key(assembly.samples)) == shard_id
 
     def _adopt(self, shard_id: str, shard: SandService) -> None:
-        """Share the fleet's plans with ``shard`` and scope (or, after a
-        ring change, re-scope in place) its background work."""
+        """Share the fleet's plans and anchors with ``shard`` and scope
+        (or, after a ring change, re-scope in place) its background work."""
         shard.plan_cache = self.plan_cache
+        shard.anchor_cache = self.anchor_cache
         shard.set_scope(lambda assembly: self.owns(shard_id, assembly))
 
     def add_shard(self, shard_id: str, service: SandService) -> RebalanceReport:
@@ -304,7 +313,9 @@ class ShardCoordinator(FileSystemProvider):
 
     def remove_shard(self, shard_id: str) -> RebalanceReport:
         """Drain a shard off the ring (its service is NOT shut down; it
-        now owns nothing, so its background work stops)."""
+        now owns nothing, so its background work stops).  It leaves with
+        an anchor cache of its own, so its ``shutdown()`` cannot clear
+        the fleet's."""
         self._apply_fault(SITE_COORD_REBALANCE, shard_id)
         with self._lock:
             if shard_id not in self._shards:
@@ -318,6 +329,7 @@ class ShardCoordinator(FileSystemProvider):
             report = self._rebalance_locked(before, added=[], removed=[shard_id])
         for sid, shard in shards.items():
             self._adopt(sid, shard)
+        shards[shard_id].anchor_cache = AnchorCache(self.anchor_cache.budget_bytes)
         return report
 
     def _owners_locked(self) -> Dict[str, str]:
@@ -589,6 +601,7 @@ class ShardCoordinator(FileSystemProvider):
             "shards": {sid: shard.status() for sid, shard in sorted(shards.items())},
             "routing": self.routing_report(),
             "admission": self.admission.report(),
+            "anchor_cache": self.anchor_cache.report(),
             "fault_fires": fire_counts,
         }
 

@@ -208,7 +208,9 @@ class PackManager:
     """Owns the segment files of one store directory.
 
     Thread safe; the write-behind flusher (when enabled) is a daemon
-    thread that drains staged appends every ``flush_interval_s``.  With
+    thread that sleeps until an append stages a record, then drains
+    staged appends ``flush_interval_s`` later (again one interval later
+    while a failed flush leaves records staged).  With
     write-behind off, every :meth:`append` flushes inline — still one
     batched append per call instead of three file creations per blob.
     """
@@ -241,6 +243,7 @@ class PackManager:
         self._mmaps: Dict[int, mmap.mmap] = {}
 
         self._stop = threading.Event()
+        self._staged = threading.Event()  # wakes the flusher
         self._flusher: Optional[threading.Thread] = None
         if self.write_behind:
             self._flusher = threading.Thread(
@@ -293,7 +296,9 @@ class PackManager:
             pending = sum(len(p.record) for p in self._pending)
             if pending > self.stats.pending_bytes_high_water:
                 self.stats.pending_bytes_high_water = pending
-        if not self.write_behind:
+        if self.write_behind:
+            self._staged.set()
+        else:
             self.flush()
         return location
 
@@ -362,16 +367,23 @@ class PackManager:
                 flushed += len(batch)
                 self.stats.flush_batches += 1
                 self.stats.records_flushed += len(batch)
+            if self._pending:  # re-arm the flusher: it retries one interval on
+                self._staged.set()
             return flushed
 
     def _flusher_loop(self) -> None:
-        while not self._stop.wait(self.flush_interval_s):
+        while True:
+            self._staged.wait()
+            if self._stop.wait(self.flush_interval_s):
+                break
+            self._staged.clear()
             self.flush()
         self.flush()
 
     def close(self) -> None:
         """Stop the flusher, drain staged appends, release mappings."""
         self._stop.set()
+        self._staged.set()
         flusher = self._flusher
         if flusher is not None and flusher is not threading.current_thread():
             flusher.join(timeout=10)

@@ -8,6 +8,7 @@ per-record CRC at read time, exactly like the per-object layout.
 """
 
 import os
+import time
 import zlib
 
 import numpy as np
@@ -371,6 +372,40 @@ def test_store_scan_quarantines_torn_pack_tail(tmp_path):
     assert fresh.stats.integrity_failures >= 1
 
 
+def counting_flushes(packs):
+    """Count the calls the flusher makes to ``packs.flush``."""
+    calls = []
+    flush = packs.flush
+
+    def counted():
+        calls.append(1)
+        return flush()
+
+    packs.flush = counted
+    return calls
+
+
+def wait_until_durable(packs, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while packs.pending_bytes() and time.monotonic() < deadline:
+        time.sleep(0.002)
+    return packs.pending_bytes() == 0
+
+
+def test_idle_write_behind_flusher_sleeps_until_an_append(tmp_path):
+    packs = PackManager(tmp_path, write_behind=True, flush_interval_s=0.002)
+    try:
+        calls = counting_flushes(packs)
+        time.sleep(0.05)
+        assert calls == []  # polling every interval would be ~25 calls
+        packs.append("a", b"x", crc(b"x"))
+        assert wait_until_durable(packs)
+        assert len(calls) >= 1 and packs.stats.records_flushed == 1
+    finally:
+        packs.close()
+    assert [r.key for r in PackManager(tmp_path).scan()[0]] == ["a"]
+
+
 # -- injected fault sites ----------------------------------------------------
 
 
@@ -391,6 +426,28 @@ def test_flush_transient_fault_is_absorbed_and_retried(tmp_path):
     records, torn = packs.scan()
     assert torn == []
     assert [r.key for r in records] == ["a"]
+
+
+@pytest.mark.faults
+def test_write_behind_retries_a_failed_flush_without_a_new_append(tmp_path):
+    schedule = FaultSchedule(
+        seed=SEED,
+        specs=[
+            FaultSpec(kind="transient-error", site=SITE_STORE_FLUSH, at_count=1)
+        ],
+    )
+    packs = PackManager(
+        tmp_path, write_behind=True, flush_interval_s=0.002, fault_schedule=schedule
+    )
+    try:
+        packs.append("a", b"x", crc(b"x"))  # the flusher's first flush fails
+        assert wait_until_durable(packs)  # ... and its retry lands, unprompted
+        assert packs.stats.flush_retries == 1
+        assert packs.stats.records_flushed == 1
+        records, torn = PackManager(tmp_path).scan()
+        assert torn == [] and [r.key for r in records] == ["a"]
+    finally:
+        packs.close()
 
 
 @pytest.mark.faults

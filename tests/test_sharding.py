@@ -15,6 +15,9 @@ The hard invariants:
 * background work is ownership-scoped and planning is shared: a fleet
   pre-materializes each frontier node once and plans each window once,
   while any shard still serves any batch on demand;
+* a fleet decodes each anchor once: its shards, and every engine,
+  materializer and decoder they run, share one anchor cache, so it
+  decodes no more frames than one plain service;
 * the consistent-hash ring moves ~1/N of keys on membership change,
   never reshuffles survivors;
 * the wire path through the coordinator (GET_BATCH + tenant) leaks no
@@ -32,7 +35,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.service as service_module
-from repro.analysis.sanitizers import collect_report, reset_sanitizers, set_sanitizers
+from repro.analysis.sanitizers import (
+    buffer_sanitizer,
+    collect_report,
+    reset_sanitizers,
+    set_sanitizers,
+)
 from repro.core import (
     AllShardsDownError,
     BatchSocketClient,
@@ -56,6 +64,7 @@ from repro.faults import (
 from repro.faults.schedule import SITE_SHARD_ROUTE
 from repro.storage import RetryPolicy
 from repro.storage.local import LocalStore
+from tests.reference_materializer import ReferenceMaterializer
 
 FAST_RETRY = RetryPolicy(max_retries=4, base_delay_s=0.0, max_delay_s=0.0)
 
@@ -614,6 +623,153 @@ def test_cannot_remove_last_shard():
         coordinator.shutdown()
 
 
+# -- one anchor cache per fleet ---------------------------------------------
+
+
+def anchor_holders(shard):
+    """Every anchor cache ``shard`` decodes through, and how many open
+    decoders and warm engines that covered: its own, and each live, warm
+    or straggler engine's, their materializers' and open decoders'."""
+    holders, decoders, warm = [shard.anchor_cache], 0, 0
+    for group in shard._groups.values():
+        warm += group.warm is not None
+        for window in (group.live, group.warm, group.previous):
+            if window is None:
+                continue
+            holders.append(window.engine.anchor_cache)
+            for materializer in list(window.engine._materializers.values()):
+                holders.append(materializer.anchor_cache)
+                decoder = materializer._decoder
+                if decoder is not None:
+                    holders.append(getattr(decoder, "inner", decoder).cache)
+                    decoders += 1
+    return holders, decoders, warm
+
+
+def running_shard():
+    """A shard that decoded on its own before joining a fleet: a live
+    window with open decoders and, warmed ahead, the next one's engine."""
+    shard = make_shard(num_workers=1, prefetch_depth=2)
+    shard.get_batch("t", 0, 0)
+    shard.get_batch("t", 1, 0)  # the last epoch of window 0 plans window 2 ahead
+    assert shard._single_group().warmed.wait(30)
+    return shard
+
+
+def test_fleet_shards_share_one_anchor_cache():
+    shards = [running_shard() for _ in range(3)]
+    joiner = running_shard()
+    fleet = ShardCoordinator(shards)
+    try:
+        cache = fleet.anchor_cache
+        assert cache is shards[0].anchor_cache
+        fleet.add_shard("shard-3", joiner)
+        decoders = warm = 0
+        for sid in fleet.shard_ids():
+            holders, opened, warmed = anchor_holders(fleet.shard(sid))
+            assert all(holder is cache for holder in holders), sid
+            decoders += opened
+            warm += warmed
+        assert decoders > 0 and warm > 0  # the check covered open decoders and warm engines
+        want = make_shard()
+        for key in all_batch_keys(want):
+            got, _ = fleet.get_batch(*key, tenant="t0")
+            assert got.tobytes() == want.get_batch(*key)[0].tobytes(), key
+        want.shutdown()
+    finally:
+        fleet.shutdown()
+
+
+def test_anchor_cache_repoint_races_running_decodes():
+    """Shards join a fleet while their workers decode, at a short switch
+    interval: once they stop, no decoder was left on a private cache,
+    and every batch the fleet served is the reference's."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        shards = [make_shard(num_workers=2, prefetch_depth=2) for _ in range(4)]
+        for shard in shards:
+            shard.ensure_window(0, task="t")  # workers start decoding now
+        fleet = ShardCoordinator(shards)
+        want = make_shard()
+        try:
+            for key in all_batch_keys(want):
+                got, _ = fleet.get_batch(*key, tenant="t0")
+                assert got.tobytes() == want.get_batch(*key)[0].tobytes(), key
+            for shard in shards:
+                shard.end_task("t")  # joins its workers and planner
+                holders, _, _ = anchor_holders(shard)
+                assert all(holder is fleet.anchor_cache for holder in holders)
+        finally:
+            want.shutdown()
+            fleet.shutdown()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_removed_shard_leaves_with_its_own_anchor_cache():
+    fleet = ShardCoordinator([make_shard() for _ in range(3)])
+    try:
+        for key in all_batch_keys(fleet.shard("shard-0")):
+            fleet.get_batch(*key, tenant="t0")
+        leaver = fleet.shard("shard-2")
+        fleet.remove_shard("shard-2")
+        used = fleet.anchor_cache.bytes_used
+        assert used > 0
+        holders, _, _ = anchor_holders(leaver)
+        assert leaver.anchor_cache is not fleet.anchor_cache
+        assert all(holder is leaver.anchor_cache for holder in holders)
+        for sid in fleet.shard_ids():
+            holders, _, _ = anchor_holders(fleet.shard(sid))
+            assert all(holder is fleet.anchor_cache for holder in holders), sid
+        leaver.shutdown()  # clears the leaver's anchors, not the fleet's
+        assert fleet.anchor_cache.bytes_used == used
+    finally:
+        fleet.shutdown()
+
+
+def test_fleet_decodes_no_more_frames_than_one_service(sanitized, monkeypatch):
+    """Two tasks, two windows, demand only: a 4-shard fleet decodes each
+    anchor once, like a plain service (with a cache per shard, every
+    shard a video's clips land on decodes its anchors again), and every
+    batch it serves is the oracle's, with the sentinels on the shared
+    anchors intact."""
+    engines = []
+    build = service_module.SandService._engine
+
+    def recording(self, *args, **kwargs):
+        engine = build(self, *args, **kwargs)
+        engines.append(engine)
+        return engine
+
+    monkeypatch.setattr(service_module.SandService, "_engine", recording)
+
+    def frames_decoded(serve):
+        del engines[:]
+        for window in (0, 2):
+            plan = plain.window_plan(window, "a")
+            reference = ReferenceMaterializer(plan, plain.dataset)
+            for key in sorted(plan.batches):
+                got, _ = serve(*key)
+                assert got.tobytes() == reference.get_batch(*key).tobytes(), key
+        return sum(engine.stats.frames_decoded for engine in engines)
+
+    plain = make_shard(tags=("a", "b"))
+    fleet = ShardCoordinator([make_shard(tags=("a", "b")) for _ in range(4)])
+    try:
+        alone = frames_decoded(plain.get_batch)
+        shared = frames_decoded(lambda *key: fleet.get_batch(*key, tenant=key[0]))
+        assert 0 < shared <= alone
+        assert sum(fleet.routing_report()["served"][sid] > 0 for sid in fleet.shard_ids()) > 1
+    finally:
+        plain.shutdown()
+        fleet.shutdown()
+    assert buffer_sanitizer().guarded > 0
+    report = collect_report()
+    assert report.write_after_share == []
+    assert report.lock_order_violations == []
+
+
 # -- the one POSIX front end --------------------------------------------------
 
 BATCH_XATTRS = ("videos", "labels", "timestamps", "frame_indices", "shape", "dtype")
@@ -850,7 +1006,7 @@ def test_coordinator_status_is_one_report():
     try:
         coordinator.get_batch("t", 0, 0, tenant="t0")
         status = coordinator.status()
-        assert set(status) == {"shards", "routing", "admission", "fault_fires"}
+        assert set(status) == {"shards", "routing", "admission", "anchor_cache", "fault_fires"}
         assert sorted(status["shards"]) == ["shard-0", "shard-1"]
         for shard_status in status["shards"].values():
             # Satellite fix: each shard's status carries its dataplane
@@ -869,6 +1025,11 @@ def test_coordinator_status_is_one_report():
         for shard_status in status["shards"].values():
             assert shard_status["plan_cache"] == routing["plan_cache"]
         assert "t0" in status["admission"]["tenants"]
+        # The fleet's one anchor cache, reported once.
+        anchors = status["anchor_cache"]
+        assert anchors == coordinator.anchor_cache.report()
+        assert {"hits", "misses", "bytes_used", "budget_bytes"} <= set(anchors)
+        assert 0 < anchors["bytes_used"] <= anchors["budget_bytes"]
     finally:
         coordinator.shutdown()
 
